@@ -122,7 +122,7 @@ def validated_half_moment_table(n: int) -> MomentTable:
     series = moment_table(n, 0.5)
     quadrature = oracles.quadrature_moment_table(n, 0.5)
     gap = float(np.abs(series.values - quadrature.values).max())
-    if gap > MOMENT_GATE:
+    if not gap <= MOMENT_GATE:  # NaN fails too
         raise PrecisionError(
             f"moment table routes disagree by {gap:.3e} (gate {MOMENT_GATE:.0e}) at n={n}")
     return series

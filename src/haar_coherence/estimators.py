@@ -18,8 +18,8 @@ from .sampling import RngStream, haar_pure_batch, hs_mixed_batch
 
 DEFAULT_CHUNK_SIZE = 1024
 
-# Complex draws per RNG call when a chunk is evaluated in blocks; fixed so the
-# stream consumption order (hence the result) never depends on memory limits.
+# Draws per RNG call in the blocked loops of chunks and single-stream oracles;
+# fixed so the stream consumption order (hence the result) never depends on memory.
 _BLOCK_DRAWS = 1 << 21
 
 _MEASURES = {"skew": "skew", "rel-ent": "rel-ent", "relative-entropy": "rel-ent"}

@@ -22,32 +22,28 @@ class Eigensystem(NamedTuple):
 
 
 def hermitian_part(m) -> np.ndarray:
-    """Return (M + M†)/2, which is exactly Hermitian in floating point."""
+    """Return (M + M†)/2 for a matrix or an (..., n, n) stack, exactly Hermitian."""
     m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
-
-
-def _require_square(m, what="matrix"):
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
 def _require_hermitian(m, what="matrix"):
-    _require_square(m, what)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
     # Exact equality; construction paths symmetrize with hermitian_part.
     # array_equal is False for NaN entries, so this also rejects non-finite input.
-    if not np.array_equal(m, m.conj().T):
+    if not np.array_equal(m, np.swapaxes(m.conj(), -1, -2)):
         raise ValueError(f"{what} is not exactly Hermitian; symmetrize with hermitian_part first")
 
 
 def eig_hermitian(m) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix with ascending eigenvalues."""
+    """Eigendecomposition of a Hermitian matrix or (..., n, n) stack, ascending."""
     m = np.asarray(m, dtype=complex)
     _require_hermitian(m)
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        n = m.shape[0]
+        n = m.shape[-1]
         raise np.linalg.LinAlgError(
             f"Hermitian eigensolver did not converge on a {n}x{n} matrix") from exc
     return Eigensystem(values, vectors)
@@ -58,20 +54,22 @@ def sqrt_psd(rho) -> np.ndarray:
 
     Eigenvalues in [-EIG_CLAMP, 0) and eigenvalues below REL_CLAMP times the
     largest one are clamped to zero before taking roots. Raises ValueError if
-    an eigenvalue lies below -EIG_CLAMP.
+    an eigenvalue lies below -EIG_CLAMP. An (..., n, n) stack gives each
+    member's single-matrix result and raises if any member is not PSD.
     """
     values, vectors = eig_hermitian(rho)
-    if values[0] < -EIG_CLAMP:
+    smallest = values[..., 0].min()
+    if smallest < -EIG_CLAMP:
         raise ValueError(
-            f"matrix is not PSD: smallest eigenvalue {values[0]:.3e} is below {-EIG_CLAMP:.0e}")
+            f"matrix is not PSD: smallest eigenvalue {smallest:.3e} is below {-EIG_CLAMP:.0e}")
     values = np.clip(values, 0.0, None)
-    values[values < REL_CLAMP * values[-1]] = 0.0
+    values[values < REL_CLAMP * values[..., -1:]] = 0.0
     root = np.sqrt(values)
-    return hermitian_part((vectors * root) @ vectors.conj().T)
+    return hermitian_part((vectors * root[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2))
 
 
 def partial_trace_b(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out the second tensor factor.
+    """Trace out the second tensor factor of a matrix or a (..., d, d) stack.
 
     The composite index convention is subsystem-A major: i = k * dim_b + l for
     |k>_A |l>_B. Trace and Hermiticity are preserved exactly (the contraction
@@ -79,10 +77,11 @@ def partial_trace_b(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
     """
     rho_ab = np.asarray(rho_ab, dtype=complex)
     d = dim_a * dim_b
-    if rho_ab.shape != (d, d):
+    if rho_ab.shape[-2:] != (d, d):
         raise ValueError(
             f"expected a {d}x{d} matrix for dim_a={dim_a}, dim_b={dim_b}, got shape {rho_ab.shape}")
-    return np.einsum("albl->ab", rho_ab.reshape(dim_a, dim_b, dim_a, dim_b))
+    factored = rho_ab.reshape(rho_ab.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    return np.einsum("...albl->...ab", factored)
 
 
 def swap_operator(n: int) -> np.ndarray:

@@ -14,13 +14,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .closed_forms import MomentTable
-from .estimators import EstimatorResult, merge_stats, stats_of
+from .estimators import _BLOCK_DRAWS, EstimatorResult, _finish, merge_stats, stats_of
 from .linalg import swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
-
-# Exponential(1) draws per RNG call in the Monte Carlo loops; fixed because it
-# determines the stream consumption order.
-_BLOCK_DRAWS = 1 << 21
 
 # Above this dimension the heavy-tailed Vandermonde integrand makes the plain
 # Monte Carlo estimate useless at desk-scale sample counts.
@@ -145,10 +141,7 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream,
                 f = f * (mu[:, i] - mu[:, j]) ** 2
         stats = merge_stats(stats, stats_of(f))
         done += b
-    count, mean, m2 = stats
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return EstimatorResult(mean=mean, stderr=stderr, n_samples=count,
-                           master_seed=rng.master_seed, chunk_size=samples)
+    return _finish(stats, rng.master_seed, samples)
 
 
 def twofold_twirl(a, n: int) -> np.ndarray:
@@ -174,19 +167,26 @@ def twofold_twirl(a, n: int) -> np.ndarray:
 
 def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream,
                      block: int = 4096) -> np.ndarray:
-    """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries."""
+    """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries.
+
+    One haar_unitary_batch call per block of ``block`` unitaries fixes the RNG
+    order. Each block of W = U x U (d = n^2) is folded in by two matrix products:
+    X = [W_1; ...; W_b] A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.shape != (n * n, n * n):
-        raise ValueError(f"expected a {n * n}x{n * n} matrix, got shape {a.shape}")
+    d = n * n
+    if a.shape != (d, d):
+        raise ValueError(f"expected a {d}x{d} matrix, got shape {a.shape}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    total = np.zeros((n * n, n * n), dtype=complex)
+    total = np.zeros((d, d), dtype=complex)
     done = 0
     while done < samples:
         b = min(block, samples - done)
         u = haar_unitary_batch(rng, n, b)
-        w = np.einsum("bij,bkl->bikjl", u, u).reshape(b, n * n, n * n)
-        total += np.einsum("bij,jk,blk->il", w, a, w.conj())
+        w = np.einsum("bij,bkl->bikjl", u, u).reshape(b, d, d)
+        x = (w.reshape(b * d, d) @ a).reshape(b, d, d).transpose(1, 0, 2)
+        total += x.reshape(d, b * d) @ w.conj().transpose(0, 2, 1).reshape(b * d, d)
         done += b
     return total / samples
 
@@ -209,7 +209,4 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream,
         values = np.sqrt(spectrum).sum(axis=1) ** 2
         stats = merge_stats(stats, stats_of(values))
         done += b
-    count, mean, m2 = stats
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return EstimatorResult(mean=mean, stderr=stderr, n_samples=count,
-                           master_seed=rng.master_seed, chunk_size=samples)
+    return _finish(stats, rng.master_seed, samples)

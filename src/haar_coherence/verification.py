@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from zlib import crc32
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import closed_forms, oracles
 from .coherence import skew_coherence, skew_coherence_pure, skew_information
@@ -41,10 +40,14 @@ def _stream(seed, label, index=0):
     return RngStream(_subseed(seed, label), index)
 
 
-def _basis_projector(k, n):
-    p = np.zeros((n, n), dtype=complex)
-    p[k, k] = 1.0
-    return p
+def _worst(*values) -> float:
+    """Largest entry of numbers and arrays; unlike max(), NaN anywhere gives NaN."""
+    return float(np.max(np.concatenate([np.ravel(v) for v in values])))
+
+
+def _outer(psi):
+    # |psi><psi| for a (..., n) stack, entry for entry equal to np.outer
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +61,14 @@ def check_quadrature_exactness():
     for j in range(16):
         approx = float((rule.weights * rule.nodes**j).sum())
         exact = math.exp(math.lgamma(0.5 + j + 1.0))
-        worst = max(worst, abs(approx - exact) / exact)
+        worst = _worst(worst, abs(approx - exact) / exact)
     # large rule: highest exact degrees, evaluated in log space since both the
     # monomial values and the target Gamma(q + j + 1) overflow a double
     big = oracles.gauss_laguerre_rule(0.5, 130)
     log_w = np.log(big.weights)
     for j in (200, 259):
         terms = np.exp(log_w + j * np.log(big.nodes) - math.lgamma(0.5 + j + 1.0))
-        worst = max(worst, abs(float(terms.sum()) - 1.0))
+        worst = _worst(worst, abs(float(terms.sum()) - 1.0))
     return CheckResult("gauss-laguerre exactness (alpha=1/2)", worst < 1e-12,
                        f"worst relative moment error {worst:.2e} (tol 1e-12)")
 
@@ -74,7 +77,7 @@ def check_orthogonality():
     eye = np.eye(7)
     gap_series = float(np.abs(closed_forms.moment_table(7, 0.0).values - eye).max())
     gap_quad = float(np.abs(oracles.quadrature_moment_table(7, 0.0).values - eye).max())
-    worst = max(gap_series, gap_quad)
+    worst = _worst(gap_series, gap_quad)
     return CheckResult("laguerre orthogonality (q=0, degrees <= 6)", worst < 1e-10,
                        f"max deviation from identity {worst:.2e} (tol 1e-10)")
 
@@ -94,8 +97,8 @@ def check_moment_values():
                (1, 1): 7 * math.sqrt(math.pi) / 8}
     worst = 0.0
     for (k, l), exact in targets.items():
-        worst = max(worst, abs(closed_forms.laguerre_moment(k, l, 0.5) - exact))
-        worst = max(worst, abs(oracles.laguerre_moment_quadrature(k, l, 0.5) - exact))
+        worst = _worst(worst, abs(closed_forms.laguerre_moment(k, l, 0.5) - exact))
+        worst = _worst(worst, abs(oracles.laguerre_moment_quadrature(k, l, 0.5) - exact))
     return CheckResult("low-order q=1/2 moments vs exact values", worst < 1e-12,
                        f"worst absolute error {worst:.2e} (tol 1e-12)")
 
@@ -106,11 +109,11 @@ def check_vandermonde_mc(seed):
     target = 3 * math.pi / 4
     z_moment = abs(est2.mean - target) / est2.stderr
     z_closed = abs(est2.mean - closed_forms.vandermonde_sqrt_integral(2)) / est2.stderr
-    if max(z_moment, z_closed) > 4:
-        failures.append(f"n=2 off by {max(z_moment, z_closed):.1f} sigma")
+    if not _worst(z_moment, z_closed) <= 4:
+        failures.append(f"n=2 off by {_worst(z_moment, z_closed):.1f} sigma")
     est3 = oracles.vandermonde_sqrt_integral_mc(3, 10**7, _stream(seed, "vandermonde-3"))
     z3 = abs(est3.mean - closed_forms.vandermonde_sqrt_integral(3)) / est3.stderr
-    if z3 > 4:
+    if not z3 <= 4:
         failures.append(f"n=3 off by {z3:.1f} sigma")
     detail = (f"n=2: {est2.mean:.4f} vs 3pi/4 = {target:.4f} ({z_moment:.1f} sigma); "
               f"n=3: {est3.mean:.2f} vs closed form ({z3:.1f} sigma)")
@@ -140,7 +143,7 @@ def check_twirl_mc(seed):
             limit = 5 * float(np.linalg.norm(a)) / math.sqrt(samples)
             emp = oracles.twofold_twirl_mc(a, n, samples, rng)
             gap = float(np.abs(emp - oracles.twofold_twirl(a, n)).max())
-            worst = max(worst, gap / limit)
+            worst = _worst(worst, gap / limit)
     return CheckResult("twirl MC vs closed form (N=2,3; 5 matrices each)", worst < 1.0,
                        f"worst entrywise error at {worst:.2f} of the 5/sqrt(S) budget")
 
@@ -153,9 +156,9 @@ def check_spectral_average(seed):
         closed = closed_forms.trace_sqrt_squared_average(n)
         z = abs(est.mean - closed) / est.stderr
         details.append(f"n={n}: {est.mean:.5f} vs {closed:.5f} ({z:.1f} sigma)")
-        if z > 4:
+        if not z <= 4:
             failures.append(f"n={n} off by {z:.1f} sigma")
-        if exact is not None and abs(closed - exact) > 1e-12:
+        if exact is not None and not abs(closed - exact) <= 1e-12:
             failures.append(f"n={n} closed form differs from 1 + 3pi/16")
     return CheckResult("spectral average of (Tr sqrt(rho))^2, MC vs closed form",
                        not failures, "; ".join(details if not failures else failures))
@@ -169,8 +172,8 @@ def check_range(seed):
     worst_low, worst_high = 0.0, 0.0
     for n in _DIMS:
         values = _mixed_task(n, "skew")(_stream(seed, f"range-{n}"), 10**4)
-        worst_low = min(worst_low, float(values.min()))
-        worst_high = max(worst_high, float((values - (1 - 1 / n)).max()))
+        worst_low = -_worst(-worst_low, -values)  # min(x) = -max(-x)
+        worst_high = _worst(worst_high, values - (1 - 1 / n))
     ok = worst_low >= -1e-10 and worst_high <= 1e-10
     return CheckResult("coherence range [0, 1 - 1/N] (10^4 mixed states per N)", ok,
                        f"min {worst_low:.1e}, max excess {worst_high:.1e} (slack 1e-10)")
@@ -179,12 +182,11 @@ def check_range(seed):
 def check_projector_sum(seed):
     worst = 0.0
     for n in _DIMS:
-        rng = _stream(seed, f"projsum-{n}")
-        projectors = [_basis_projector(k, n) for k in range(n)]
-        for rho in hs_mixed_batch(rng, n, 1000):
-            rho = hermitian_part(rho)
-            total = math.fsum(skew_information(rho, p) for p in projectors)
-            worst = max(worst, abs(total - skew_coherence(rho)))
+        rho = hermitian_part(hs_mixed_batch(_stream(seed, f"projsum-{n}"), n, 1000))
+        # basis projectors stacked (n, 1, n, n) to broadcast against every state
+        projectors = _outer(np.eye(n, dtype=complex))[:, None]
+        total = skew_information(rho, projectors).sum(axis=0)
+        worst = _worst(worst, np.abs(total - skew_coherence(rho)))
     return CheckResult("projector-sum form equals diagonal form (10^3 states per N)",
                        worst < 1e-10, f"max |difference| {worst:.2e} (tol 1e-10)")
 
@@ -192,9 +194,9 @@ def check_projector_sum(seed):
 def check_pure_mixed_consistency(seed):
     worst = 0.0
     for n in _DIMS:
-        for psi in haar_pure_batch(_stream(seed, f"purecons-{n}"), n, 1000):
-            rho = hermitian_part(np.outer(psi, psi.conj()))
-            worst = max(worst, abs(skew_coherence_pure(psi) - skew_coherence(rho)))
+        psi = haar_pure_batch(_stream(seed, f"purecons-{n}"), n, 1000)
+        rho = hermitian_part(_outer(psi))
+        worst = _worst(worst, np.abs(skew_coherence_pure(psi) - skew_coherence(rho)))
     return CheckResult("pure-state formula vs density-matrix formula (10^3 per N)",
                        worst < 1e-12, f"max |difference| {worst:.2e} (tol 1e-12)")
 
@@ -205,10 +207,9 @@ def check_lipschitz_pure(seed):
         rng = _stream(seed, f"lippure-{n}")
         psi = haar_pure_batch(rng, n, 10**4)
         phi = haar_pure_batch(rng, n, 10**4)
-        p, q = np.abs(psi) ** 2, np.abs(phi) ** 2
-        delta = np.abs((1 - (p * p).sum(axis=1)) - (1 - (q * q).sum(axis=1)))
+        delta = np.abs(skew_coherence_pure(psi) - skew_coherence_pure(phi))
         allowed = (4.0 / n) * np.linalg.norm(psi - phi, axis=1) + 1e-12
-        worst = max(worst, float((delta - allowed).max()))
+        worst = _worst(worst, delta - allowed)
     return CheckResult("pure-state Lipschitz bound, slope 4/N (10^4 random pairs per N)",
                        worst <= 0.0, f"max violation {worst:.2e}")
 
@@ -220,15 +221,11 @@ def check_lipschitz_bipartite(seed):
         psi = haar_pure_batch(rng, n * n, 1000)
         phi = haar_pure_batch(rng, n * n, 1000)
         dist = np.linalg.norm(psi - phi, axis=1)
-        p, q = np.abs(psi) ** 2, np.abs(phi) ** 2
-        full = np.abs((p * p).sum(axis=1) - (q * q).sum(axis=1))
-        worst = max(worst, float((full - 4.0 * dist - 1e-10).max()))
-        for k in range(psi.shape[0]):
-            rho = partial_trace_b(np.outer(psi[k], psi[k].conj()), n, n)
-            sigma = partial_trace_b(np.outer(phi[k], phi[k].conj()), n, n)
-            reduced = abs(skew_coherence(hermitian_part(rho))
-                          - skew_coherence(hermitian_part(sigma)))
-            worst = max(worst, reduced - 4.0 * dist[k] - 1e-10)
+        full = np.abs(skew_coherence_pure(psi) - skew_coherence_pure(phi))
+        rho = hermitian_part(partial_trace_b(_outer(psi), n, n))
+        sigma = hermitian_part(partial_trace_b(_outer(phi), n, n))
+        reduced = np.abs(skew_coherence(rho) - skew_coherence(sigma))
+        worst = _worst(worst, full - 4.0 * dist - 1e-10, reduced - 4.0 * dist - 1e-10)
     return CheckResult("bipartite Lipschitz bound, slope 4 (10^3 pairs, N=2,3)",
                        worst <= 0.0, f"max violation {worst:.2e}")
 
@@ -236,14 +233,13 @@ def check_lipschitz_bipartite(seed):
 def check_polygamy(seed):
     worst = -1.0
     for n in (2, 3):
-        for psi in haar_pure_batch(_stream(seed, f"polygamy-{n}"), n * n, 1000):
-            projector = np.outer(psi, psi.conj())
-            rho_a = hermitian_part(partial_trace_b(projector, n, n))
-            rho_b = hermitian_part(
-                np.einsum("kakb->ab", projector.reshape(n, n, n, n)))
-            lhs = 1.0 - skew_coherence_pure(psi)
-            rhs = (1.0 - skew_coherence(rho_a)) * (1.0 - skew_coherence(rho_b))
-            worst = max(worst, lhs - rhs)
+        psi = haar_pure_batch(_stream(seed, f"polygamy-{n}"), n * n, 1000)
+        projector = _outer(psi)
+        rho_a = hermitian_part(partial_trace_b(projector, n, n))
+        rho_b = hermitian_part(np.einsum("...kakb->...ab", projector.reshape(-1, n, n, n, n)))
+        lhs = 1.0 - skew_coherence_pure(psi)
+        rhs = (1.0 - skew_coherence(rho_a)) * (1.0 - skew_coherence(rho_b))
+        worst = _worst(worst, lhs - rhs)
     return CheckResult("polygamy inequality on bipartite pure states (10^3, N=2,3)",
                        worst <= 1e-10, f"max violation {worst:.2e} (slack 1e-10)")
 
@@ -252,14 +248,13 @@ def check_convexity(seed):
     worst = -1.0
     for n in (2, 3, 4):
         rng = _stream(seed, f"convex-{n}")
-        rhos = hs_mixed_batch(rng, n, 1000)
-        sigmas = hs_mixed_batch(rng, n, 1000)
-        for rho, sigma in zip(rhos, sigmas):
-            c_rho = skew_coherence(hermitian_part(rho))
-            c_sigma = skew_coherence(hermitian_part(sigma))
-            for p in (0.25, 0.5, 0.75):
-                mix = skew_coherence(hermitian_part(p * rho + (1 - p) * sigma))
-                worst = max(worst, mix - p * c_rho - (1 - p) * c_sigma)
+        rho = hs_mixed_batch(rng, n, 1000)
+        sigma = hs_mixed_batch(rng, n, 1000)
+        c_rho = skew_coherence(hermitian_part(rho))
+        c_sigma = skew_coherence(hermitian_part(sigma))
+        for p in (0.25, 0.5, 0.75):
+            mix = skew_coherence(hermitian_part(p * rho + (1 - p) * sigma))
+            worst = _worst(worst, mix - p * c_rho - (1 - p) * c_sigma)
     return CheckResult("convexity spot checks (10^3 pairs, p in {1/4, 1/2, 3/4})",
                        worst <= 1e-10, f"max violation {worst:.2e} (slack 1e-10)")
 
@@ -269,12 +264,11 @@ def check_extremes(seed):
     for n in _DIMS:
         rng = _stream(seed, f"extremes-{n}")
         phases = np.exp(2j * np.pi * rng.uniform(1000 * n).reshape(1000, n))
-        for row in phases / math.sqrt(n):
-            worst = max(worst, abs(skew_coherence_pure(row) - (1 - 1 / n)))
+        maximal = np.abs(skew_coherence_pure(phases / math.sqrt(n)) - (1 - 1 / n))
         weights = rng.exponential(1000 * n).reshape(1000, n)
         weights /= weights.sum(axis=1, keepdims=True)
-        for w in weights:
-            worst = max(worst, abs(skew_coherence(np.diag(w.astype(complex)))))
+        diagonal = np.abs(skew_coherence(weights[:, :, None] * np.eye(n)))
+        worst = _worst(worst, maximal, diagonal)
     return CheckResult("maximally coherent and diagonal extremes (10^3 per N)",
                        worst < 1e-12, f"max deviation {worst:.2e} (tol 1e-12)")
 
@@ -289,29 +283,26 @@ def check_haar_invariance(seed):
         values_rot = 1 - (np.abs(rotated) ** 4).sum(axis=1)
         gap = abs(values_plain.mean() - values_rot.mean())
         combined = math.hypot(values_plain.std(ddof=1), values_rot.std(ddof=1)) / 100.0
-        if gap > 4 * combined:
+        if not gap <= 4 * combined:
             failures.append(f"N={n} means differ by {gap / combined:.1f} sigma")
     return CheckResult("Haar invariance of the coherence distribution (10^4, N=2,4)",
                        not failures, "; ".join(failures) or "means agree within 4 sigma")
 
 
 def check_sampler_consistency(seed):
+    from scipy.stats import ks_2samp  # lazy: importing scipy.stats costs ~1 s per CLI start
+
     worst_ks, worst_route = 0.0, 0.0
     for n in (2, 3):
         direct = _mixed_task(n, "skew")(_stream(seed, f"cons-direct-{n}"), 10**4)
         psi = haar_pure_batch(_stream(seed, f"cons-bipartite-{n}"), n * n, 10**4)
         amp = psi.reshape(-1, n, n)
-        gram = amp @ np.conj(np.swapaxes(amp, 1, 2))
-        gram = (gram + np.conj(np.swapaxes(gram, 1, 2))) / 2
+        gram = hermitian_part(amp @ np.conj(np.swapaxes(amp, 1, 2)))
         # the batched Gram matrices must be the partial trace, entry for entry
-        for k in range(200):
-            reduced = partial_trace_b(np.outer(psi[k], psi[k].conj()), n, n)
-            worst_route = max(worst_route, float(np.abs(reduced - gram[k]).max()))
-        w, v = np.linalg.eigh(gram)
-        root = np.sqrt(np.clip(w, 0.0, None))
-        diag = np.einsum("bka,ba->bk", np.abs(v) ** 2, root)
-        routed = 1.0 - (diag * diag).sum(axis=1)
-        worst_ks = max(worst_ks, float(ks_2samp(direct, routed).statistic))
+        reduced = partial_trace_b(_outer(psi[:200]), n, n)
+        worst_route = _worst(worst_route, np.abs(reduced - gram[:200]))
+        routed = skew_coherence(gram)
+        worst_ks = _worst(worst_ks, ks_2samp(direct, routed).statistic)
     return CheckResult("Gram sampler vs bipartite partial-trace route (KS, 10^4, N=2,3)",
                        worst_ks < 0.02 and worst_route < 1e-14,
                        f"max KS distance {worst_ks:.4f} (tol 0.02); "
@@ -326,7 +317,7 @@ def check_mean_agreement(seed):
             est = estimate_average(ensemble, n, 2 * 10**4,
                                    _subseed(seed, f"agree-{ensemble}-{n}"))
             z = abs(est.mean - analytic(n)) / est.stderr
-            if z > 4:
+            if not z <= 4:
                 failures.append(f"{ensemble} N={n} off by {z:.1f} sigma")
     return CheckResult("MC ensemble means vs closed forms (2x10^4 samples)",
                        not failures, "; ".join(failures) or "all within 4 sigma")

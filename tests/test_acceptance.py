@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import oracles, verification
+from haar_coherence import oracles
 from haar_coherence.estimators import estimate_average, estimate_tail
 from haar_coherence.linalg import hermitian_part, swap_operator
 from haar_coherence.sampling import RngStream
@@ -140,8 +140,8 @@ def test_criterion_8_typicality():
             f"eps=0.1: {freqs} non-increasing")
 
 
-def test_criterion_9_property_suites():
-    results = verification.run_suite("all", seed=42)
+def test_criterion_9_property_suites(suite_all_seed42):
+    results = suite_all_seed42
     for r in results:
         print(f"    [{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     failed = [r.name for r in results if not r.passed]

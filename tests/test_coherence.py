@@ -5,7 +5,8 @@ import pytest
 
 from haar_coherence.coherence import (relative_entropy_coherence,
                                       skew_coherence, skew_coherence_in_basis,
-                                      skew_coherence_pure, skew_information)
+                                      skew_coherence_pure, skew_information,
+                                      sqrt_diagonal)
 from haar_coherence.linalg import hermitian_part, partial_trace_b
 from haar_coherence.sampling import (RngStream, haar_pure_batch,
                                      haar_unitary_batch, hs_mixed_batch)
@@ -159,3 +160,49 @@ def test_convexity_spot_checks():
             for p in (0.25, 0.5, 0.75):
                 mixed = skew_coherence(p * rho + (1 - p) * sigma)
                 assert mixed <= p * c_rho + (1 - p) * c_sigma + 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_stack_coherence_equals_per_state_loop(n):
+    rho = hermitian_part(hs_mixed_batch(RngStream(501, n), n, 20))
+    assert np.array_equal(sqrt_diagonal(rho), np.stack([sqrt_diagonal(r) for r in rho]))
+    assert np.array_equal(skew_coherence(rho), [skew_coherence(r) for r in rho])
+    k = projector(n - 1, n)
+    assert np.array_equal(skew_information(rho, k), [skew_information(r, k) for r in rho])
+    psi = haar_pure_batch(RngStream(502, n), n, 20)
+    assert np.array_equal(skew_coherence_pure(psi), [skew_coherence_pure(p) for p in psi])
+
+
+def test_single_state_returns_python_float():
+    rho = hermitian_part(hs_mixed_batch(RngStream(503, 3), 3, 1)[0])
+    psi = haar_pure_batch(RngStream(504, 3), 3, 1)[0]
+    assert type(skew_coherence(rho)) is float
+    assert type(skew_information(rho, projector(0, 3))) is float
+    assert type(skew_coherence_pure(psi)) is float
+
+
+def test_skew_information_broadcasts_observables_against_states():
+    rho = hermitian_part(hs_mixed_batch(RngStream(505, 3), 3, 7))
+    projectors = np.stack([projector(k, 3) for k in range(3)])[:, None]
+    table = skew_information(rho, projectors)
+    assert table.shape == (3, 7)
+    assert np.allclose(table.sum(axis=0), skew_coherence(rho), atol=1e-12)
+
+
+def test_stack_rejects_one_bad_member():
+    psi = haar_pure_batch(RngStream(506, 4), 4, 5)
+    psi[3] *= 1.01
+    with pytest.raises(ValueError, match="normalized"):
+        skew_coherence_pure(psi)
+    psi[3] = np.nan
+    with pytest.raises(ValueError, match="normalized"):
+        skew_coherence_pure(psi)
+    rho = hermitian_part(hs_mixed_batch(RngStream(507, 3), 3, 4))
+    rho[1] = np.diag([1.001, 0.0, -1e-3])
+    with pytest.raises(ValueError, match="not PSD"):
+        skew_coherence(rho)
+    rho[1] = np.diag([2.0, 0.0, 0.0])  # unnormalized: coherence 1 - 2 = -1
+    with pytest.raises(ValueError, match="outside"):
+        skew_coherence(rho)
+    with pytest.raises(ValueError, match="mismatch"):
+        skew_information(rho, np.eye(2, dtype=complex))

@@ -1,0 +1,98 @@
+"""Golden fixtures for the bit-level reproducibility contract.
+
+The byte-exact values below were recorded once and must not drift: they pin
+the RNG stream and the LAPACK-free CLI paths (pure-state mean, tail and
+sample). Paths that go through LAPACK (eigh, QR) are pinned by thread-count
+invariance instead, because their last bits may differ between BLAS builds.
+"""
+
+import hashlib
+
+import pytest
+
+from haar_coherence import cli
+from haar_coherence.sampling import RngStream
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("seed,index,n,digest", [
+    (42, 3, 4096, "8175d95f37bb0692ed03122d6499db2f1441fc27d7f573610c823e9983cdbbc8"),
+    (2**64 - 1, 7, 1000, "54b9fa4b45697d8236f1c48d1bd2d60af0d68f6da3a847e4f4954daab2fd8d22"),
+])
+def test_complex_normal_stream_digest(seed, index, n, digest):
+    raw = RngStream(seed, index).complex_normal(n).tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["mc", "--ensemble", "pure", "--dim", "3", "--samples", "5000", "--seed", "7"],
+     "ensemble,N,measure,mean,stderr,samples,seed\n"
+     "pure,3,skew,0.4987556621958281,0.0018367642378761529,5000,7\n"),
+    (["mc", "--ensemble", "pure", "--dim", "4", "--samples", "3000", "--seed", "9",
+      "--chunk", "700", "--format", "json"],
+     '{"ensemble": "pure", "N": 4, "measure": "skew", "mean": 0.6037357242161443, '
+     '"stderr": 0.0019497801299846558, "samples": 3000, "seed": 9}\n'),
+    (["tail", "--ensemble", "pure", "--dim", "8", "--epsilon", "0.1",
+      "--samples", "5000", "--seed", "11"],
+     "ensemble,N,epsilon,frequency,bound,samples,seed\n"
+     "pure,8,0.1,0.054400000000000004,1.9933934595887661,5000,11\n"),
+    (["sample", "--ensemble", "pure", "--dim", "3", "--seed", "5"],
+     '{"ensemble": "pure", "dim": 3, "seed": 5, '
+     '"re": [-0.06161940113218688, -0.7298383262897303, 0.46202662120629495], '
+     '"im": [0.1333205254389423, 0.48192404573548653, 0.006731999556999367]}\n'),
+])
+def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_mixed_mc_bytes_independent_of_threads(capsys):
+    argv = ["mc", "--ensemble", "mixed", "--dim", "3", "--samples", "6000",
+            "--seed", "13", "--chunk", "512"]
+    one = run_cli(capsys, *argv, "--threads", "1")
+    two = run_cli(capsys, *argv, "--threads", "2")
+    assert one == two
+
+
+def test_figure1_bytes_independent_of_threads(capsys, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        csv_path = tmp_path / f"sweep{threads}.csv"
+        svg_path = tmp_path / f"sweep{threads}.svg"
+        run_cli(capsys, "figure1", "--max-exp", "3", "--samples", "3000", "--seed", "3",
+                "--out", str(csv_path), "--svg", str(svg_path), "--threads", threads)
+        outputs.append((csv_path.read_bytes(), svg_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+VERIFY_ALL_NAMES = [
+    "gauss-laguerre exactness (alpha=1/2)",
+    "laguerre orthogonality (q=0, degrees <= 6)",
+    "moment table series vs quadrature (q=1/2, degrees <= 127)",
+    "low-order q=1/2 moments vs exact values",
+    "exp-weighted Vandermonde integral, MC vs closed form",
+    "twirl closed form fixes identity and swap exactly",
+    "twirl MC vs closed form (N=2,3; 5 matrices each)",
+    "spectral average of (Tr sqrt(rho))^2, MC vs closed form",
+    "coherence range [0, 1 - 1/N] (10^4 mixed states per N)",
+    "projector-sum form equals diagonal form (10^3 states per N)",
+    "pure-state formula vs density-matrix formula (10^3 per N)",
+    "pure-state Lipschitz bound, slope 4/N (10^4 random pairs per N)",
+    "bipartite Lipschitz bound, slope 4 (10^3 pairs, N=2,3)",
+    "polygamy inequality on bipartite pure states (10^3, N=2,3)",
+    "convexity spot checks (10^3 pairs, p in {1/4, 1/2, 3/4})",
+    "maximally coherent and diagonal extremes (10^3 per N)",
+    "Haar invariance of the coherence distribution (10^4, N=2,4)",
+    "Gram sampler vs bipartite partial-trace route (KS, 10^4, N=2,3)",
+    "MC ensemble means vs closed forms (2x10^4 samples)",
+]
+
+
+def test_verify_all_seed42_names_and_status(suite_all_seed42):
+    assert [(r.name, r.passed) for r in suite_all_seed42] == [
+        (name, True) for name in VERIFY_ALL_NAMES]

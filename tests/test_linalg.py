@@ -170,3 +170,51 @@ def test_check_density_matrix():
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
     assert EIG_CLAMP == 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_stack_kernels_equal_per_matrix_loop(n):
+    g = RngStream(401, n).complex_normal(6 * n * n).reshape(6, n, n)
+    assert np.array_equal(hermitian_part(g), np.stack([hermitian_part(m) for m in g]))
+    m = np.stack([random_hermitian(RngStream(402, k), n) for k in range(6)])
+    values, vectors = eig_hermitian(m)
+    for k in range(6):
+        single = eig_hermitian(m[k])
+        assert np.array_equal(values[k], single.values)
+        assert np.array_equal(vectors[k], single.vectors)
+    rho = hermitian_part(hs_mixed_batch(RngStream(403, n), n, 6))
+    assert np.array_equal(sqrt_psd(rho), np.stack([sqrt_psd(r) for r in rho]))
+
+
+@pytest.mark.parametrize("dim_a,dim_b", [(2, 2), (3, 3), (2, 3)])
+def test_partial_trace_stack_equals_per_matrix_loop(dim_a, dim_b):
+    rho = hs_mixed_batch(RngStream(404, dim_a * dim_b), dim_a * dim_b, 5)
+    expected = np.stack([partial_trace_b(r, dim_a, dim_b) for r in rho])
+    assert np.array_equal(partial_trace_b(rho, dim_a, dim_b), expected)
+    with pytest.raises(ValueError, match="expected"):
+        partial_trace_b(rho, dim_a, dim_b + 1)
+
+
+def test_stack_rejects_one_bad_member():
+    rho = hermitian_part(hs_mixed_batch(RngStream(405, 0), 3, 4))
+    skewed = rho.copy()
+    skewed[2, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        eig_hermitian(skewed)
+    with pytest.raises(ValueError, match="Hermitian"):
+        sqrt_psd(skewed)
+    indefinite = rho.copy()
+    indefinite[1] = np.diag([1.001, 0.0, -1e-3])
+    with pytest.raises(ValueError, match="not PSD"):
+        sqrt_psd(indefinite)
+    with pytest.raises(ValueError, match="square"):
+        eig_hermitian(np.zeros((4, 2, 3), dtype=complex))
+
+
+def test_stack_clamps_relative_to_each_member():
+    # 1e-14 is null-space noise next to 1.0 but a genuine eigenvalue next to 1e-3
+    rho = np.stack([np.diag([1.0, 1e-14, -1e-12]), np.diag([1e-3, 1e-14, 0.0])]).astype(complex)
+    root = sqrt_psd(rho)
+    assert np.array_equal(root, np.stack([sqrt_psd(r) for r in rho]))
+    assert root[0, 1, 1] == 0.0 and root[0, 2, 2] == 0.0
+    assert root[1, 1, 1] == pytest.approx(1e-7, rel=1e-12)

@@ -7,7 +7,7 @@ from scipy.special import roots_genlaguerre
 from haar_coherence import closed_forms as cf
 from haar_coherence import oracles
 from haar_coherence.linalg import hermitian_part, swap_operator
-from haar_coherence.sampling import RngStream
+from haar_coherence.sampling import RngStream, haar_unitary_batch
 
 
 def test_rule_single_node_alpha_zero():
@@ -156,3 +156,28 @@ def test_trace_sqrt_squared_mc_qubit():
     target = 1 + 3 * math.pi / 16
     assert cf.trace_sqrt_squared_average(2) == pytest.approx(target, abs=1e-12)
     assert abs(est.mean - target) < 4 * est.stderr
+
+
+def _twirl_mc_einsum(a, n, samples, rng, block):
+    # reference: the direct three-operand einsum contraction of each block
+    total = np.zeros((n * n, n * n), dtype=complex)
+    done = 0
+    while done < samples:
+        b = min(block, samples - done)
+        u = haar_unitary_batch(rng, n, b)
+        w = np.einsum("bij,bkl->bikjl", u, u).reshape(b, n * n, n * n)
+        total += np.einsum("bij,jk,blk->il", w, a, w.conj())
+        done += b
+    return total / samples
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_twirl_mc_matches_einsum_reference_and_rng_order(n):
+    block, samples = 256, 2 * 256 + 37  # two full blocks and a short final one
+    # a general, non-Hermitian operator
+    a = RngStream(241, n).complex_normal((n * n) ** 2).reshape(n * n, n * n)
+    rng, ref_rng = RngStream(251, n), RngStream(251, n)
+    emp = oracles.twofold_twirl_mc(a, n, samples, rng, block=block)
+    ref = _twirl_mc_einsum(a, n, samples, ref_rng, block)
+    assert float(np.abs(emp - ref).max()) <= 1e-14
+    assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))

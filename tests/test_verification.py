@@ -1,0 +1,63 @@
+import math
+
+import numpy as np
+import pytest
+
+from haar_coherence import closed_forms as cf
+from haar_coherence import oracles, verification
+from haar_coherence.closed_forms import MomentTable
+from haar_coherence.estimators import EstimatorResult
+
+
+@pytest.fixture
+def fresh_moment_cache():
+    cf.validated_half_moment_table.cache_clear()
+    yield
+    cf.validated_half_moment_table.cache_clear()
+
+
+def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
+    def poisoned(n, q):
+        values = np.full((n, n), np.nan)
+        return MomentTable(q=q, values=values, method="quadrature")
+
+    monkeypatch.setattr(oracles, "quadrature_moment_table", poisoned)
+    with pytest.raises(cf.PrecisionError, match="nan"):
+        cf.validated_half_moment_table(4)
+    with pytest.raises(cf.PrecisionError):
+        cf.avg_coherence_mixed(4)
+
+
+def test_spectral_average_fails_closed_on_nan_mean(monkeypatch):
+    def nan_estimate(n, samples, rng):
+        return EstimatorResult(mean=math.nan, stderr=1e-3, n_samples=samples,
+                               master_seed=rng.master_seed, chunk_size=samples)
+
+    monkeypatch.setattr(oracles, "trace_sqrt_squared_mc", nan_estimate)
+    assert verification.check_spectral_average(42).passed is False
+
+
+def _with_one_nan_state(sampler):
+    def sample(rng, n, count):
+        states = sampler(rng, n, count)
+        states[count // 2] = np.nan
+        return states
+
+    return sample
+
+
+def test_batched_invariant_check_fails_closed_on_nan_state(monkeypatch):
+    assert verification.check_haar_invariance(42).passed
+    monkeypatch.setattr(verification, "haar_pure_batch",
+                        _with_one_nan_state(verification.haar_pure_batch))
+    assert verification.check_haar_invariance(42).passed is False
+    # checks that go through the validated kernels refuse the state outright
+    with pytest.raises(ValueError, match="normalized"):
+        verification.check_lipschitz_pure(42)
+
+
+def test_validated_invariant_check_rejects_nan_state(monkeypatch):
+    monkeypatch.setattr(verification, "hs_mixed_batch",
+                        _with_one_nan_state(verification.hs_mixed_batch))
+    with pytest.raises(ValueError, match="Hermitian"):
+        verification.check_convexity(42)
