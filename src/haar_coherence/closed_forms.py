@@ -24,6 +24,11 @@ _LEVY_DENOM = 9.0 * math.pi**3 * math.log(2.0)
 # Maximum tolerated series-vs-quadrature disagreement per table entry.
 MOMENT_GATE = 1e-9
 
+# Largest series moment table (degrees 0..n-1). The series-vs-quadrature gap
+# is 4.9e-11 here, 20x inside MOMENT_GATE; the series costs O(n^3), ~11 s at
+# this size on one x86-64 core, and minutes at a few thousand.
+MAX_TABLE_SIZE = 1024
+
 
 class PrecisionError(RuntimeError):
     """Two independent evaluation routes disagreed beyond tolerance."""
@@ -69,15 +74,26 @@ def _gen_binomial_array(q: float, m: int) -> np.ndarray:
     return b
 
 
-def _moment_from_binomials(k: int, l: int, q: float, b: np.ndarray) -> float:
-    sign = -1.0 if (k + l) % 2 else 1.0
-    # Gamma ratio in log space (overflows double near degree 170 otherwise);
-    # fsum keeps the alternating binomial series accurate at large degrees.
-    terms = (
-        b[k - r] * b[l - r] * math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
-        for r in range(min(k, l) + 1)
-    )
-    return sign * math.fsum(terms)
+def _gamma_ratios(q: float, m: int) -> np.ndarray:
+    # Gamma(q + r + 1) / r! for r = 0..m-1, in log space: the ratio overflows
+    # a double near degree 170 otherwise. libm's exp and lgamma pin the bits.
+    return np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
+                     for r in range(m)])
+
+
+def _moment_row(k: int, l: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """I_kl(q) for each degree in the array l (all >= k), from b[m] = binom(q, m)
+    and g[r] = Gamma(q+r+1)/r!.
+
+    Entry l is (-1)^(k+l) times the sum of (b[k-r] b[l-r]) g[r] over r = 0..k.
+    Each sum is an fsum, which keeps the alternating series accurate at large
+    degrees; being correctly rounded, it also makes every entry independent of
+    the order the terms are visited in.
+    """
+    r = np.arange(k + 1)
+    terms = (b[k - r] * b[np.subtract.outer(l, r)]) * g[r]
+    sums = np.array([math.fsum(t.tolist()) for t in terms])
+    return np.where((k + l) % 2, -sums, sums)
 
 
 def laguerre_moment(k: int, l: int, q: float) -> float:
@@ -90,22 +106,30 @@ def laguerre_moment(k: int, l: int, q: float) -> float:
         raise ValueError("moment indices must be >= 0")
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
-    return _moment_from_binomials(k, l, q, _gen_binomial_array(q, max(k, l)))
+    k, l = min(k, l), max(k, l)
+    row = _moment_row(k, np.array([l]), _gen_binomial_array(q, l), _gamma_ratios(q, k + 1))
+    return float(row[0])
 
 
 def moment_table(n: int, q: float) -> MomentTable:
-    """Symmetric n x n moment table for degrees 0..n-1, from the series."""
+    """Symmetric n x n moment table for degrees 0..n-1, from the series.
+
+    Refuses n above MAX_TABLE_SIZE before allocating anything: the series
+    costs O(n^3) and the table O(n^2) memory.
+    """
     if n < 1:
         raise ValueError(f"table size must be >= 1, got {n}")
+    if n > MAX_TABLE_SIZE:
+        raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
     b = _gen_binomial_array(q, n - 1)
+    g = _gamma_ratios(q, n)
     values = np.empty((n, n))
     for k in range(n):
-        for l in range(k, n):
-            v = _moment_from_binomials(k, l, q, b)
-            values[k, l] = v
-            values[l, k] = v
+        row = _moment_row(k, np.arange(k, n), b, g)
+        values[k, k:] = row
+        values[k:, k] = row
     values.flags.writeable = False
     return MomentTable(q=q, values=values, method="series")
 
@@ -130,9 +154,10 @@ def validated_half_moment_table(n: int) -> MomentTable:
 
 def moment_bracket(values: np.ndarray) -> float:
     """(sum_k I_kk)^2 - sum_{k,l} I_kl^2 with compensated summation."""
-    n = values.shape[0]
-    diag = math.fsum(values[k, k] for k in range(n))
-    squares = math.fsum(values[k, l] ** 2 for k in range(n) for l in range(n))
+    diag = math.fsum(np.diagonal(values))
+    # float_power squares through libm's pow, as Python's ** on a float does;
+    # `values**2` multiplies instead and rounds ~0.1% of entries differently.
+    squares = math.fsum(np.float_power(values, 2.0).ravel())
     return diag * diag - squares
 
 

@@ -209,6 +209,10 @@ def figure1_sweep(max_exp: int, samples: int, seed: int,
     """
     if max_exp < 1:
         raise ValueError(f"max_exp must be >= 1, got {max_exp}")
+    # 2^m <= cap exactly when m <= floor(log2 cap); never forms 2^max_exp.
+    if max_exp > closed_forms.MAX_TABLE_SIZE.bit_length() - 1:
+        raise ValueError(f"N = 2^{max_exp} exceeds the largest moment table, "
+                         f"{closed_forms.MAX_TABLE_SIZE}")
     rows = []
     for m in range(1, max_exp + 1):
         n = 2**m

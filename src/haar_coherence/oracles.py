@@ -30,6 +30,31 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+# The scaled recurrences below carry each node's value as m 2^s. Shifting m
+# by exact powers of two changes no bit wherever nothing under- or overflows,
+# and keeps |m| near or below 2^_SCALE_BITS however small e^{-x/2} gets.
+_SCALE_BITS = 500
+
+
+def _half_exp(x: np.ndarray):
+    """Mantissa m >= 2^-_SCALE_BITS and exponent s <= 0 with m 2^s = e^{-x/2}.
+
+    e^{-x/2} at the largest node is subnormal from a 364-point rule on and 0
+    from 383 points on; s is 0 wherever e^{-x/2} >= 2^-_SCALE_BITS.
+    """
+    s = np.minimum(_SCALE_BITS - np.ceil(x / (2 * math.log(2.0))), 0.0).astype(np.intc)
+    return np.exp(-x / 2 - s * math.log(2.0)), s
+
+
+def _renormalize(prev: np.ndarray, cur: np.ndarray, s: np.ndarray):
+    # One dot product is the cheapest test per step; it exceeds the bound
+    # whenever some |cur| > 2^_SCALE_BITS, and is inf or NaN if cur is.
+    if not np.dot(cur, cur) <= 2.0 ** (2 * _SCALE_BITS):
+        shift = np.where(np.abs(cur) > 2.0**_SCALE_BITS, -_SCALE_BITS, 0).astype(np.intc)
+        prev, cur, s = np.ldexp(prev, shift), np.ldexp(cur, shift), s - shift
+    return prev, cur, s
+
+
 def _scaled_rule(alpha: float, n_nodes: int):
     """Nodes plus weights premultiplied by e^{x} (the Christoffel function of
     the e^{-x/2}-scaled orthonormal polynomials).
@@ -42,15 +67,17 @@ def _scaled_rule(alpha: float, n_nodes: int):
     nodes = eigh_tridiagonal(2 * i + alpha + 1, np.sqrt(i[1:] * (i[1:] + alpha)),
                              eigvals_only=True)
     mu0 = math.exp(math.lgamma(alpha + 1.0))
+    cur, s = _half_exp(nodes)
+    cur = cur / math.sqrt(mu0)
     prev = np.zeros_like(nodes)
-    cur = np.exp(-nodes / 2) / math.sqrt(mu0)
-    norm_sum = cur**2
+    norm_sum = np.ldexp(cur, s)**2
     for k in range(1, n_nodes):
         a_prev = 2 * (k - 1) + alpha + 1
         b_prev = math.sqrt((k - 1) * (k - 1 + alpha)) if k >= 2 else 0.0
         b_cur = math.sqrt(k * (k + alpha))
         prev, cur = cur, ((nodes - a_prev) * cur - b_prev * prev) / b_cur
-        norm_sum += cur**2
+        prev, cur, s = _renormalize(prev, cur, s)
+        norm_sum += np.ldexp(cur, s)**2
     return nodes, 1.0 / norm_sum
 
 
@@ -73,11 +100,13 @@ def _scaled_laguerre_rows(n_rows: int, x: np.ndarray) -> np.ndarray:
     # L_k(x) e^{-x/2} for k = 0..n_rows-1; the scaling commutes with the
     # linear recurrence and avoids the ~1e100 magnitudes of the raw L_k.
     rows = np.empty((n_rows, x.size))
-    rows[0] = np.exp(-x / 2)
-    if n_rows > 1:
-        rows[1] = (1.0 - x) * rows[0]
-    for k in range(1, n_rows - 1):
-        rows[k + 1] = ((2 * k + 1 - x) * rows[k] - k * rows[k - 1]) / (k + 1)
+    cur, s = _half_exp(x)
+    prev = np.zeros_like(x)
+    np.ldexp(cur, s, out=rows[0])
+    for k in range(n_rows - 1):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        prev, cur, s = _renormalize(prev, cur, s)
+        np.ldexp(cur, s, out=rows[k + 1])
     return rows
 
 

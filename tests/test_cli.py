@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from haar_coherence import cli
+from haar_coherence import cli, estimators
+from haar_coherence import closed_forms as cf
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +28,25 @@ def test_closed_form_mixed_avg(capsys):
     assert value == pytest.approx(1.0 / 3.0 - math.pi / 16, abs=1e-12)
     # floats round-trip through the JSON text exactly
     assert repr(value) in out
+
+
+@pytest.mark.parametrize("n", [400, 512])
+def test_closed_form_mixed_avg_validated_past_quadrature_underflow(capsys, n):
+    # e^{-x/2} at the largest rule nodes is subnormal from n = 362 and 0 from
+    # n = 381; the gate must still pass, and the value sit on the
+    # Marchenko-Pastur asymptote.
+    code, out, err = run_cli(capsys, "closed-form", "--dim", str(n), "--measure", "mixed-avg")
+    assert code == 0, err
+    estimate = 1.0 - 64.0 / (9.0 * math.pi**2) - 0.28 / n
+    assert abs(json.loads(out)["value"] - estimate) < 1e-4
+
+
+def test_closed_form_mixed_avg_refuses_oversized_table(capsys, monkeypatch):
+    # numpy unreachable from closed_forms: allocating before the check would raise
+    monkeypatch.setattr(cf, "np", None)
+    code, out, err = run_cli(capsys, "closed-form", "--dim", "100000", "--measure", "mixed-avg")
+    assert code == 2 and out == ""
+    assert "exceeds the supported maximum 1024" in err
 
 
 def test_closed_form_max(capsys):
@@ -162,6 +182,19 @@ def test_figure1_unwritable_path(tmp_path, capsys):
                            "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 2
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("max_exp", ["11", "1000000000"])
+def test_figure1_refuses_oversized_sweep_up_front(tmp_path, capsys, monkeypatch, max_exp):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before the size check")
+
+    monkeypatch.setattr(estimators, "estimate_average", no_sampling)
+    out_csv = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "figure1", "--max-exp", max_exp, "--out", str(out_csv))
+    assert code == 2
+    assert "exceeds the largest moment table" in err
+    assert not out_csv.exists()
 
 
 def test_sample_pure_and_mixed(capsys):

@@ -47,12 +47,30 @@ def test_laguerre_moment_orthogonality_at_q_zero():
             assert abs(cf.laguerre_moment(k, l, 0.0) - expected) < 1e-10
 
 
+def reference_moment(k, l, q):
+    """The series as one generator of Python terms per entry: the reference
+    the vectorized rows must reproduce bit for bit."""
+    b = cf._gen_binomial_array(q, max(k, l))
+    sign = -1.0 if (k + l) % 2 else 1.0
+    terms = (
+        b[k - r] * b[l - r] * math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
+        for r in range(min(k, l) + 1)
+    )
+    return sign * math.fsum(terms)
+
+
 def test_moment_table_matches_elementwise_route():
     table = cf.moment_table(6, 0.5)
     assert table.method == "series"
     for k in range(6):
         for l in range(6):
             assert table.values[k, l] == cf.laguerre_moment(k, l, 0.5)
+            assert table.values[k, l] == reference_moment(k, l, 0.5)
+    n = 200
+    table = cf.moment_table(n, 0.5)
+    pairs = np.random.default_rng(2024).integers(0, n, size=(40, 2)).tolist()
+    for k, l in pairs + [[0, 0], [0, n - 1], [n - 1, 0], [n - 1, n - 1]]:
+        assert table.values[k, l] == cf.laguerre_moment(k, l, 0.5) == reference_moment(k, l, 0.5)
 
 
 def test_avg_coherence_pure():

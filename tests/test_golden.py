@@ -1,9 +1,11 @@
 """Golden fixtures for the bit-level reproducibility contract.
 
 The byte-exact values below were recorded once and must not drift: they pin
-the RNG stream and the LAPACK-free CLI paths (pure-state mean, tail and
-sample). Paths that go through LAPACK (eigh, QR) are pinned by thread-count
-invariance instead, because their last bits may differ between BLAS builds.
+the RNG stream, the series moment tables and the LAPACK-free CLI paths
+(pure-state mean, tail, sample and the mixed-state closed form, whose value
+comes from the series alone; the quadrature only gates it). Paths that go
+through LAPACK (eigh, QR) are pinned by thread-count invariance instead,
+because their last bits may differ between BLAS builds.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import hashlib
 import pytest
 
 from haar_coherence import cli
+from haar_coherence.closed_forms import moment_table
 from haar_coherence.sampling import RngStream
 
 
@@ -49,6 +52,26 @@ def test_complex_normal_stream_digest(seed, index, n, digest):
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("n,q,digest", [
+    (7, 0.0, "511f95ffdf7d99b8d724b255997dfd243aec9684e3c6258642da794fcc212f59"),
+    (64, 0.5, "6c2eb2e8562bd46c6ab9077ec7ff9accf32fe21e22ec558577dea4d289baa2ef"),
+    (200, 1.3, "d03c1f8e2f54d1276138114c821a337251e28515c22d31603c2177fa9a9e7c17"),
+])
+def test_series_moment_table_digest(n, q, digest):
+    raw = moment_table(n, q).values.tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,value", [
+    (2, "0.1369837924839712"),
+    (128, "0.2773010972480947"),
+    (256, "0.27839937725103636"),
+])
+def test_mixed_avg_closed_form_is_golden(capsys, n, value):
+    out = run_cli(capsys, "closed-form", "--measure", "mixed-avg", "--dim", str(n))
+    assert out == f'{{"measure": "mixed-avg", "N": {n}, "value": {value}}}\n'
 
 
 def test_mixed_mc_bytes_independent_of_threads(capsys):

@@ -57,6 +57,30 @@ def test_rule_rejects_bad_arguments():
         oracles.gauss_laguerre_rule(0.5, 0)
 
 
+def plain_scaled_laguerre_rows(n_rows, x):
+    # L_k(x) e^{-x/2} by the recurrence started from e^{-x/2} itself, without
+    # rescaling: exact reference wherever e^{-x/2} stays a normal double.
+    rows = np.empty((n_rows, x.size))
+    rows[0] = np.exp(-x / 2)
+    rows[1] = (1.0 - x) * rows[0]
+    for k in range(1, n_rows - 1):
+        rows[k + 1] = ((2 * k + 1 - x) * rows[k] - k * rows[k - 1]) / (k + 1)
+    return rows
+
+
+def test_scaled_rows_unchanged_where_nothing_underflows():
+    rule = oracles.gauss_laguerre_rule(0.5, 130)
+    assert np.array_equal(oracles._scaled_laguerre_rows(128, rule.nodes),
+                          plain_scaled_laguerre_rows(128, rule.nodes))
+
+
+def test_quadrature_table_orthonormal_past_underflow():
+    # at 502 nodes e^{-x/2} is 0 at the largest nodes; the q = 0 table is the identity
+    n = 500
+    values = oracles.quadrature_moment_table(n, 0.0).values
+    assert np.abs(values - np.eye(n)).max() < 1e-12
+
+
 def test_moment_quadrature_known_values():
     root_pi = math.sqrt(math.pi)
     assert oracles.laguerre_moment_quadrature(0, 0, 0.5) == pytest.approx(root_pi / 2, abs=1e-13)
