@@ -6,7 +6,10 @@ statistics merge in ascending chunk order, so every estimate is bit-identical
 regardless of how many worker threads execute the chunks.
 """
 
+import contextlib
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +24,17 @@ DEFAULT_CHUNK_SIZE = 1024
 # Draws per RNG call in the blocked loops of chunks and single-stream oracles;
 # fixed so the stream consumption order (hence the result) never depends on memory.
 _BLOCK_DRAWS = 1 << 21
+
+# Peak bytes of one draw block per complex entry drawn. Measured peaks of one
+# task call (ru_maxrss, 2-16 M entries): 56 B for pure states, 56 B (rel-ent)
+# to 83 B (skew, eigh) for mixed ones; 96 B covers both with room.
+_BYTES_PER_ENTRY = 96
+
+# Largest estimated working set of the draw blocks in flight at once; above it
+# mc/tail refuse before sampling instead of failing with MemoryError. A quarter
+# of an 8 GB host: mixed N <= 4729 (one state per block), or chunk x N <= 22 M
+# for pure states, on one thread.
+MAX_BLOCK_BYTES = 2 << 30
 
 _MEASURES = {"skew": "skew", "rel-ent": "rel-ent", "relative-entropy": "rel-ent"}
 
@@ -81,6 +95,69 @@ def _finish(stats, master_seed, chunk_size) -> EstimatorResult:
                            master_seed=master_seed, chunk_size=chunk_size)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS behind numpy.linalg.
+
+    Looked up through numpy's linalg extension, whose dependencies include the
+    BLAS it was linked against; None for any other BLAS build.
+    """
+    import ctypes
+
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    # numpy 2 wheels (64-bit indices), 32-bit-index wheels, numpy 1.x wheels,
+    # and a system OpenBLAS
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# The OpenBLAS thread count is process-wide, so concurrent pools share one
+# pin: the first to enter saves the count, the last to leave restores it.
+_pin_lock = threading.Lock()
+_pin_users = 0
+_pin_saved = None
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    Pool workers already use the cores; BLAS threads of their own would
+    oversubscribe them (a batched eigh at N = 32 ran 3x slower per matrix).
+    """
+    global _pin_users, _pin_saved
+    handle = _openblas_threads()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    with _pin_lock:
+        if _pin_users == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_users += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_users -= 1
+            if _pin_users == 0:
+                set_(_pin_saved)
+
+
 def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
                 master_seed: int = 0, threads: int = 1) -> EstimatorResult:
     """Evaluate ``task(rng, count) -> values`` over deterministic chunks.
@@ -88,7 +165,7 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     Chunk c owns RngStream(master_seed, c) exclusively; a short final chunk
     absorbs any remainder so the total sample count is respected exactly.
     Threads only change wall time, never the result, because the merge order
-    is fixed by chunk index.
+    is fixed by chunk index. While the pool runs, OpenBLAS runs one thread.
     """
     if total_samples < 1:
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
@@ -104,7 +181,7 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
 
     jobs = list(enumerate(counts))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(one_chunk, jobs))
     else:
         partials = [one_chunk(job) for job in jobs]
@@ -125,8 +202,13 @@ def _pure_task(n: int, measure: str):
     return task
 
 
+def _mixed_block(n: int) -> int:
+    """States per draw block of the mixed task: at least one N x N state."""
+    return max(1, _BLOCK_DRAWS // (n * n))
+
+
 def _mixed_task(n: int, measure: str):
-    block = max(1, _BLOCK_DRAWS // (n * n))
+    block = _mixed_block(n)
 
     def task(rng, count):
         out = np.empty(count)
@@ -161,6 +243,28 @@ def _coherence_task(ensemble: str, n: int, measure: str):
     raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
 
 
+def _check_block_memory(ensemble: str, n: int, samples: int, chunk_size: int,
+                        threads: int):
+    """Refuse, before anything is drawn, runs whose draw blocks exceed MAX_BLOCK_BYTES.
+
+    The pure task draws a whole chunk at once, the mixed task at least one
+    state per block; up to `threads` chunks are in flight together.
+    """
+    count = min(chunk_size, samples)
+    if ensemble == "pure":
+        entries = count * n
+    else:
+        entries = min(count, _mixed_block(n)) * n * n
+    chunks = -(-samples // chunk_size)
+    in_flight = min(threads, chunks)
+    needed = entries * _BYTES_PER_ENTRY * in_flight
+    if needed > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"draw blocks of {ensemble} states at N = {n} need about "
+            f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB limit; "
+            f"use a smaller dimension, chunk size or thread count")
+
+
 def estimate_average(ensemble: str, n: int, samples: int, seed: int,
                      measure: str = "skew", chunk_size: int = DEFAULT_CHUNK_SIZE,
                      threads: int = 1) -> EstimatorResult:
@@ -170,6 +274,7 @@ def estimate_average(ensemble: str, n: int, samples: int, seed: int,
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     task = _coherence_task(ensemble, n, measure)
+    _check_block_memory(ensemble, n, samples, chunk_size, threads)
     return run_chunked(task, samples, chunk_size, seed, threads)
 
 
@@ -182,15 +287,14 @@ def estimate_tail(ensemble: str, n: int, epsilon: float, samples: int, seed: int
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    base = _coherence_task(ensemble, n, "skew")
+    _check_block_memory(ensemble, n, samples, chunk_size, threads)
     if ensemble == "pure":
         center = closed_forms.avg_coherence_pure(n)
         bound = closed_forms.tail_bound_pure(n, epsilon)
-    elif ensemble == "mixed":
+    else:
         center = closed_forms.avg_coherence_mixed(n)
         bound = closed_forms.tail_bound_mixed(n, epsilon)
-    else:
-        raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
-    base = _coherence_task(ensemble, n, "skew")
 
     def task(rng, count):
         return (np.abs(base(rng, count) - center) > epsilon).astype(float)

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from haar_coherence import cli, estimators
+from haar_coherence import cli, estimators, sampling
 from haar_coherence import closed_forms as cf
 
 
@@ -136,6 +136,26 @@ def test_threads_env_fallback(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "mc", "--ensemble", "pure", "--dim", "2",
                            "--samples", "2048", "--seed", "5")
     assert code == 2 and "HAAR_COHERENCE_THREADS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "--ensemble", "pure", "--dim", "1000000", "--chunk", "1000000",
+     "--samples", "1000000"),
+    ("mc", "--ensemble", "mixed", "--dim", "100000", "--samples", "2"),
+    ("mc", "--ensemble", "mixed", "--dim", "4000", "--samples", "4", "--chunk", "2",
+     "--threads", "2", "--measure", "rel-ent"),
+    ("tail", "--ensemble", "pure", "--dim", "100000", "--epsilon", "0.1",
+     "--chunk", "1000", "--samples", "1000"),
+    ("tail", "--ensemble", "mixed", "--dim", "100000", "--epsilon", "0.1"),
+])
+def test_mc_and_tail_refuse_oversized_draw_blocks_up_front(capsys, monkeypatch, argv):
+    # numpy unreachable from the engine and the samplers: any allocation
+    # before the check would raise instead of exiting 2
+    monkeypatch.setattr(estimators, "np", None)
+    monkeypatch.setattr(sampling, "np", None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "GiB limit" in err
 
 
 def test_tail_record(capsys):

@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from haar_coherence import closed_forms as cf
+from haar_coherence import estimators
 from haar_coherence.coherence import (relative_entropy_coherence,
                                       skew_coherence)
 from haar_coherence.estimators import (_mixed_task, estimate_average,
@@ -42,6 +44,84 @@ def test_run_chunked_reproducible():
     assert a == b
 
 
+@pytest.fixture
+def openblas():
+    handle = estimators._openblas_threads()
+    if handle is None:
+        pytest.skip("numpy.linalg is not linked against OpenBLAS: nothing to pin")
+    get, set_ = handle
+    before = get()
+    set_(2)  # a count the pin must visibly change and restore
+    yield get
+    set_(before)
+
+
+def test_pool_workers_see_one_blas_thread(openblas):
+    seen = []
+
+    def task(rng, count):
+        seen.append(openblas())
+        return rng.uniform(count)
+
+    run_chunked(task, 2000, chunk_size=250, threads=2)
+    assert seen == [1] * 8
+    assert openblas() == 2
+
+
+def test_blas_threads_restored_when_a_task_raises(openblas):
+    def task(rng, count):
+        raise RuntimeError("task failed")
+
+    with pytest.raises(RuntimeError, match="task failed"):
+        run_chunked(task, 1000, chunk_size=250, threads=2)
+    assert openblas() == 2
+
+
+def test_overlapping_pools_share_one_pin(openblas):
+    # pool A ends while pool B still runs: B must stay pinned, and the count
+    # must come back only when B ends too
+    a_started, b_started, a_done = (threading.Event() for _ in range(3))
+    seen_by_b = []
+
+    def task_a(rng, count):
+        a_started.set()
+        assert b_started.wait(10)
+        return rng.uniform(count)
+
+    def task_b(rng, count):
+        b_started.set()
+        assert a_done.wait(10)
+        seen_by_b.append(openblas())
+        return rng.uniform(count)
+
+    def run_a():
+        run_chunked(task_a, 10, chunk_size=10, threads=2)
+        a_done.set()
+
+    a = threading.Thread(target=run_a)
+    b = threading.Thread(target=run_chunked, args=(task_b, 10),
+                         kwargs=dict(chunk_size=10, threads=2))
+    a.start()
+    assert a_started.wait(10)
+    b.start()
+    a.join(10)
+    b.join(10)
+    assert not a.is_alive() and not b.is_alive()
+    assert seen_by_b == [1]
+    assert openblas() == 2
+
+
+def test_serial_path_leaves_blas_threads_alone(openblas):
+    seen = []
+
+    def task(rng, count):
+        seen.append(openblas())
+        return rng.uniform(count)
+
+    run_chunked(task, 500, chunk_size=250, threads=1)
+    assert seen == [2, 2]
+
+
 def test_estimate_average_validates_arguments():
     with pytest.raises(ValueError):
         estimate_average("pure", 2, 1, 0)
@@ -75,6 +155,21 @@ def test_mixed_task_matches_public_measures():
         for i, rho in enumerate(states):
             assert abs(skew_values[i] - skew_coherence(rho)) < 1e-12
             assert abs(rel_values[i] - relative_entropy_coherence(rho)) < 1e-10
+
+
+def test_block_memory_limit_counts_blocks_in_flight():
+    # 20 M complex entries per pure chunk sit just under the 2 GiB estimate;
+    # two chunks drawn at once do not
+    check = estimators._check_block_memory
+    check("pure", 1000, 20_000, 20_000, threads=1)
+    check("pure", 1000, 40_000, 20_000, threads=1)
+    check("pure", 1000, 20_000, 20_000, threads=2)  # one chunk: one worker busy
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("pure", 1000, 40_000, 20_000, threads=2)
+    # the mixed task blocks its draws, so only N sets its size
+    check("mixed", 4729, 10**6, 10**6, threads=1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("mixed", 4730, 2, 1, threads=1)
 
 
 def test_estimate_tail_impossible_deviation():

@@ -82,6 +82,16 @@ def test_mixed_mc_bytes_independent_of_threads(capsys):
     assert one == two
 
 
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_mixed_mc_bytes_independent_of_threads_where_blas_threads(capsys, measure):
+    # at N = 32 OpenBLAS would thread the batched eigh/eigvalsh by default
+    argv = ["mc", "--ensemble", "mixed", "--dim", "32", "--samples", "2048",
+            "--seed", "17", "--chunk", "512", "--measure", measure]
+    one = run_cli(capsys, *argv, "--threads", "1")
+    two = run_cli(capsys, *argv, "--threads", "2")
+    assert one == two
+
+
 def test_figure1_bytes_independent_of_threads(capsys, tmp_path):
     outputs = []
     for threads in ("1", "2"):
