@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .closed_forms import MomentTable
 from .estimators import _BLOCK_DRAWS, EstimatorResult, _finish, merge_stats, stats_of
-from .linalg import swap_operator
+from .linalg import hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 # Above this dimension the heavy-tailed Vandermonde integrand makes the plain
@@ -234,7 +234,7 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream,
     while done < samples:
         b = min(block, samples - done)
         rho = hs_mixed_batch(rng, n, b)
-        spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        spectrum = np.clip(hermitian_eigvalsh(rho), 0.0, None)
         values = np.sqrt(spectrum).sum(axis=1) ** 2
         stats = merge_stats(stats, stats_of(values))
         done += b

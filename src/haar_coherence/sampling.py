@@ -13,6 +13,13 @@ from .linalg import hermitian_part
 
 _MASK64 = (1 << 64) - 1
 
+# Up to this order haar_unitary_batch orthonormalizes by Gram-Schmidt instead
+# of LAPACK QR, which there costs mostly per-matrix call overhead. On 4096
+# matrices (2-core x86-64, OpenBLAS 0.3.31) the step took 0.76 vs 4.8 ms at
+# n = 2 and 2.7 vs 8.1 ms at n = 3, but 32 vs 24 ms at n = 8 and 2.3 vs 0.28 s
+# at n = 32. The twirl oracle, the hot caller, runs at n = 2 and 3.
+_GRAM_SCHMIDT_MAX_DIM = 3
+
 
 def _splitmix64(z: int) -> int:
     # Standard splitmix64 finalizer: full avalanche of one 64-bit word.
@@ -71,14 +78,32 @@ def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization with positive real R diagonal, column by
+    column with classical Gram-Schmidt run twice (CGS2), which keeps Q
+    orthonormal to round-off. Plain einsum and norm, no BLAS call."""
+    q = np.empty_like(g)
+    for j in range(g.shape[-1]):
+        v = g[:, :, j]
+        basis = q[:, :, :j]
+        for _ in range(2 if j else 0):
+            v = v - np.einsum("bij,bj->bi", basis, np.einsum("bij,bi->bj", basis.conj(), v))
+        q[:, :, j] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return q
+
+
 def haar_unitary_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     """(count, n, n) array of Haar-random unitaries.
 
-    QR of a Gaussian matrix with each column of Q divided by the phase of the
-    corresponding R diagonal entry; plain QR alone is not Haar distributed.
+    Q of the QR factorization of a Gaussian matrix whose R has a positive real
+    diagonal (Mezzadri 2007); plain LAPACK QR alone is not Haar distributed,
+    so above _GRAM_SCHMIDT_MAX_DIM each column of its Q is divided by the phase
+    of the corresponding R diagonal entry.
     """
     _require_dim(n)
     g = rng.complex_normal(count * n * n).reshape(count, n, n)
+    if n <= _GRAM_SCHMIDT_MAX_DIM:
+        return _gram_schmidt(g)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d.conj() / np.abs(d))[:, None, :]

@@ -2,10 +2,12 @@
 
 The byte-exact values below were recorded once and must not drift: they pin
 the RNG stream, the series moment tables and the LAPACK-free CLI paths
-(pure-state mean, tail, sample and the mixed-state closed form, whose value
-comes from the series alone; the quadrature only gates it). Paths that go
-through LAPACK (eigh, QR) are pinned by thread-count invariance instead,
-because their last bits may differ between BLAS builds.
+(pure-state mean, tail, sample of pure states and of unitaries up to
+N = 3, which are orthonormalized by Gram-Schmidt, and the mixed-state
+closed form, whose value comes from the series alone; the quadrature only
+gates it). Paths that go through LAPACK (eigh, QR) are pinned by
+thread-count invariance instead, because their last bits may differ between
+BLAS builds.
 """
 
 import hashlib
@@ -49,6 +51,20 @@ def test_complex_normal_stream_digest(seed, index, n, digest):
      '{"ensemble": "pure", "dim": 3, "seed": 5, '
      '"re": [-0.06161940113218688, -0.7298383262897303, 0.46202662120629495], '
      '"im": [0.1333205254389423, 0.48192404573548653, 0.006731999556999367]}\n'),
+    (["sample", "--ensemble", "unitary", "--dim", "2", "--seed", "5"],
+     '{"ensemble": "unitary", "dim": 2, "seed": 5, '
+     '"re": [-0.25278177590662537, 0.9529964408420033, -0.9384732310070063, '
+     '-0.2787484621623656], '
+     '"im": [0.16691589321216524, -0.0061840201448393065, 0.16585672445200472, '
+     '-0.11856996449117496]}\n'),
+    (["sample", "--ensemble", "unitary", "--dim", "3", "--seed", "5"],
+     '{"ensemble": "unitary", "dim": 3, "seed": 5, '
+     '"re": [-0.12355415777667611, -0.8028471371109752, 0.36635016224050065, '
+     '-0.41079623288937245, 0.3319081865519889, 0.2696085105322626, '
+     '-0.06671336584634006, 0.19567003241175449, 0.033419849163512205], '
+     '"im": [0.26788824962296237, -0.36321118672964153, 0.04766469032268107, '
+     '0.41711838375174737, -0.10368542835792728, -0.680923084991843, '
+     '0.7521823526298156, 0.2536013295098093, 0.5710111671223744]}\n'),
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from haar_coherence.linalg import (EIG_CLAMP, check_density_matrix,
-                                   eig_hermitian, hermitian_part, hs_norm,
-                                   partial_trace_b, sqrt_psd, swap_operator)
-from haar_coherence.sampling import RngStream, hs_mixed_batch
+                                   eig_hermitian, hermitian_eigvalsh,
+                                   hermitian_part, hs_norm, partial_trace_b,
+                                   sqrt_psd, swap_operator)
+from haar_coherence.sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # 2x2 state with eigenvalues 0.2 and 0.8 in the |+>/|-> eigenbasis
@@ -172,6 +174,13 @@ def test_check_density_matrix():
     assert EIG_CLAMP == 1e-10
 
 
+@pytest.mark.parametrize("rho", [np.stack([np.eye(2) / 2] * 3), (np.eye(4) / 4)[None],
+                                 np.full(4, 0.25), np.float64(1.0)])
+def test_check_density_matrix_rejects_non_matrix_shapes(rho):
+    with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(rho)}")):
+        check_density_matrix(rho)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_stack_kernels_equal_per_matrix_loop(n):
     g = RngStream(401, n).complex_normal(6 * n * n).reshape(6, n, n)
@@ -218,3 +227,87 @@ def test_stack_clamps_relative_to_each_member():
     assert np.array_equal(root, np.stack([sqrt_psd(r) for r in rho]))
     assert root[0, 1, 1] == 0.0 and root[0, 2, 2] == 0.0
     assert root[1, 1, 1] == pytest.approx(1e-7, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_eigvalsh_matches_lapack_on_sampled_states(n):
+    rho = hs_mixed_batch(RngStream(406, n), n, 10**5)
+    values = hermitian_eigvalsh(rho)
+    assert values.shape == (10**5, n)
+    assert np.all(np.diff(values, axis=1) >= 0)
+    assert np.abs(values - np.linalg.eigvalsh(rho)).max() <= 1e-14
+
+
+def _degenerate_cases(n):
+    rng = RngStream(407, n)
+    psi = rng.complex_normal(n)
+    psi /= np.linalg.norm(psi)
+    cases = [np.eye(n) / n, np.outer(psi, psi.conj()), np.outer(np.eye(n)[0], np.eye(n)[0]),
+             np.zeros((n, n)), np.diag(np.arange(n, dtype=float)),
+             np.diag(rng.uniform(n))]
+    if n == 2:
+        cases += [np.diag([0.5 + 1e-9, 0.5 - 1e-9]), np.diag([0.25, 0.25]),
+                  np.array([[0.5, 1e-9j], [-1e-9j, 0.5]])]
+    else:
+        cases += [np.diag([1 / 3 + 1e-9, 1 / 3, 1 / 3 - 1e-9]), np.diag([0.25, 0.25, 0.5]),
+                  np.diag([0.5, 0.25, 0.25]), np.diag([0.2, 0.6, 0.2]),
+                  np.array([[0.4, 0, 0], [0, 0.3, 1e-9], [0, 1e-9, 0.3]])]
+    return np.stack(cases).astype(complex)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_eigvalsh_on_degenerate_and_diagonal_matrices(n):
+    m = _degenerate_cases(n)
+    values = hermitian_eigvalsh(m)
+    assert np.all(np.diff(values, axis=1) >= 0)
+    assert np.abs(values - np.linalg.eigvalsh(m)).max() <= 1e-14
+    # zero off-diagonals: the spectrum is the sorted diagonal
+    diagonal = np.array([np.all(k == np.diag(np.diag(k))) for k in m])
+    assert np.abs(values[diagonal] - np.sort(np.diagonal(m[diagonal], axis1=1, axis2=2).real)
+                  ).max() <= 1e-15
+    assert np.array_equal(hermitian_eigvalsh(np.eye(n)[None] / n), np.full((1, n), 1 / n))
+
+
+@pytest.mark.parametrize("spectrum", [
+    [0.5, 0.5], [0.0, 1.0], [0.5 - 1e-12, 0.5 + 1e-12],
+    [0.25, 0.25, 0.5], [0.2, 0.4, 0.4], [0.0, 0.0, 1.0],
+    [1 / 3 - 1e-9, 1 / 3, 1 / 3 + 1e-9], [0.0, 0.5 - 1e-12, 0.5 + 1e-12],
+])
+def test_closed_form_eigvalsh_on_rotated_degenerate_spectra(spectrum):
+    # U diag(spectrum) U† with Haar U: degenerate pairs in a generic basis
+    n = len(spectrum)
+    u = haar_unitary_batch(RngStream(409, n), n, 2000)
+    m = hermitian_part((u * np.array(spectrum)) @ np.swapaxes(u.conj(), 1, 2))
+    values = hermitian_eigvalsh(m)
+    assert np.all(np.diff(values, axis=1) >= 0)
+    assert np.abs(values - np.array(spectrum)).max() <= 1e-14
+    assert np.abs(values - np.linalg.eigvalsh(m)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n,i,j,entry", [
+    (1, 0, 0, np.nan), (2, 0, 0, np.nan), (2, 1, 0, np.nan), (2, 1, 0, complex(0.1, np.nan)),
+    (3, 1, 1, np.nan), (3, 2, 0, np.nan), (3, 2, 1, complex(0.1, np.nan)),
+])
+def test_closed_form_eigvalsh_fails_closed_on_nan(n, i, j, entry):
+    # a NaN off-diagonal entry leaves the trace finite but makes p NaN: a
+    # "p > 0" guard would return the finite trace / 3 here
+    m = np.stack([np.eye(n, dtype=complex) / n] * 2)
+    m[1, i, j] = entry
+    m[1, j, i] = np.conj(entry)
+    with np.errstate(invalid="ignore"):
+        values = hermitian_eigvalsh(m)
+    assert np.all(np.isnan(values[1]))
+    assert np.allclose(values[0], 1 / n, rtol=0, atol=1e-15)
+
+
+def test_closed_form_eigvalsh_shapes():
+    assert np.allclose(hermitian_eigvalsh(np.diag([0.3, 0.7]).astype(complex)), [0.3, 0.7],
+                       rtol=0, atol=1e-16)
+    assert hermitian_eigvalsh(np.full((2, 5, 1, 1), 2.0 + 0j)).shape == (2, 5, 1)
+    rho = hs_mixed_batch(RngStream(408, 3), 3, 40000).reshape(2, 20000, 3, 3)
+    assert np.array_equal(hermitian_eigvalsh(rho),
+                          hermitian_eigvalsh(rho.reshape(-1, 3, 3)).reshape(2, 20000, 3))
+    rho = hs_mixed_batch(RngStream(408, 5), 5, 3)
+    assert np.array_equal(hermitian_eigvalsh(rho), np.linalg.eigvalsh(rho))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigvalsh(np.zeros((4, 2, 3), dtype=complex))

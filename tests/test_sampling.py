@@ -73,6 +73,34 @@ def test_haar_unitary_unitarity():
         assert hs_norm(u.conj().T @ u - eye) < 1e-10
 
 
+def _lapack_haar_unitaries(g):
+    # QR with each column of Q divided by the phase of its R diagonal entry
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d.conj() / np.abs(d))[:, None, :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_schmidt_unitaries_match_lapack_route(n):
+    count = 2 * 10**4
+    rng = RngStream(71, n)
+    u = haar_unitary_batch(rng, n, count)
+    reference = RngStream(71, n)
+    expected = _lapack_haar_unitaries(reference.complex_normal(count * n * n)
+                                      .reshape(count, n, n))
+    assert np.abs(u - expected).max() <= 1e-12
+    gram = np.einsum("bki,bkj->bij", u.conj(), u)
+    assert np.abs(gram - np.eye(n)).max() <= 1e-14
+    # the same draws were taken: both streams continue identically
+    assert np.array_equal(rng.uniform(8), reference.uniform(8))
+
+
+def test_unitaries_above_gram_schmidt_cutoff_use_lapack():
+    u = haar_unitary_batch(RngStream(73, 0), 4, 50)
+    g = RngStream(73, 0).complex_normal(50 * 16).reshape(50, 4, 4)
+    assert np.array_equal(u, _lapack_haar_unitaries(g))
+
+
 def test_haar_unitary_first_column_matches_pure_sampler():
     n, samples = 5, 2 * 10**4
     col = haar_unitary_batch(RngStream(37, 0), n, samples)[:, :, 0]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from haar_coherence import closed_forms as cf
 from haar_coherence import oracles, verification
 from haar_coherence.closed_forms import MomentTable
 from haar_coherence.estimators import EstimatorResult
+from haar_coherence.sampling import RngStream
 
 
 @pytest.fixture
@@ -61,3 +66,43 @@ def test_validated_invariant_check_rejects_nan_state(monkeypatch):
                         _with_one_nan_state(verification.hs_mixed_batch))
     with pytest.raises(ValueError, match="Hermitian"):
         verification.check_convexity(42)
+
+
+def test_spectral_mc_fails_closed_on_nan_state(monkeypatch):
+    # LAPACK's eigvalsh returns finite eigenvalues for some NaN matrices;
+    # the closed-form spectra must not
+    monkeypatch.setattr(oracles, "hs_mixed_batch", _with_one_nan_state(oracles.hs_mixed_batch))
+    for n in (2, 3):
+        with np.errstate(invalid="ignore"):
+            est = oracles.trace_sqrt_squared_mc(n, 1000, RngStream(5, n))
+        assert math.isnan(est.mean)
+
+
+@pytest.mark.parametrize("case", ["random", "unequal sizes", "ties", "identical"])
+def test_ks_statistic_matches_scipy(case):
+    from scipy.stats import ks_2samp
+
+    rng = RngStream(19, 0)
+    a, b = rng.uniform(1000), rng.uniform(1000) ** 1.1
+    if case == "unequal sizes":
+        b = b[:371]
+    elif case == "ties":
+        a, b = np.floor(10 * a), np.floor(10 * b[:600] ** 0.5)
+    elif case == "identical":
+        b = a.copy()
+    expected = ks_2samp(a, b).statistic
+    assert abs(verification._ks_statistic(a, b) - expected) <= 1e-12
+    assert abs(verification._ks_statistic(b, a) - expected) <= 1e-12
+
+
+def test_invariant_suite_does_not_import_scipy_stats():
+    code = ("import sys\n"
+            "from haar_coherence import cli\n"
+            "assert cli.main(['verify', '--suite', 'invariants']) == 0\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = Path(verification.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
