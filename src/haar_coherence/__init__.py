@@ -8,29 +8,25 @@ that verify every closed form.
 
 from .closed_forms import (MomentTable, PrecisionError, avg_coherence_mixed,
                            avg_coherence_pure, avg_cr_mixed, avg_cr_pure,
-                           beta_function, coherent_subspace_dim, gen_binomial,
-                           laguerre, laguerre_moment, levy_bound,
+                           coherent_subspace_dim, laguerre_moment, levy_bound,
                            lipschitz_constant_mixed, lipschitz_constant_pure,
                            max_coherence, moment_table, pure_average_gap,
                            tail_bound_mixed, tail_bound_pure,
                            trace_sqrt_squared_average,
                            vandermonde_sqrt_integral)
 from .coherence import (relative_entropy_coherence, skew_coherence,
-                        skew_coherence_in_basis, skew_coherence_pure,
-                        skew_information)
+                        skew_coherence_pure, skew_information)
 from .estimators import (EstimatorResult, SweepRow, TailEstimate,
                          estimate_average, estimate_tail, figure1_sweep,
                          run_chunked)
 from .linalg import (Eigensystem, check_density_matrix, eig_hermitian,
-                     hermitian_part, hs_norm, partial_trace_b, sqrt_psd,
-                     swap_operator)
+                     hermitian_part, partial_trace_b, sqrt_psd, swap_operator)
 from .oracles import (QuadratureRule, gauss_laguerre_rule,
                       laguerre_moment_quadrature, quadrature_moment_table,
                       trace_sqrt_squared_mc, twofold_twirl, twofold_twirl_mc,
                       vandermonde_sqrt_integral_mc)
-from .sampling import (RngStream, sample_bipartite_pure,
-                       sample_gaussian_complex, sample_haar_pure,
-                       sample_haar_unitary, sample_hs_mixed)
+from .sampling import (RngStream, sample_haar_pure, sample_haar_unitary,
+                       sample_hs_mixed)
 
 __version__ = "0.1.0"
 
@@ -38,17 +34,15 @@ __all__ = [
     "EstimatorResult", "Eigensystem", "MomentTable", "PrecisionError",
     "QuadratureRule", "RngStream", "SweepRow", "TailEstimate",
     "avg_coherence_mixed", "avg_coherence_pure", "avg_cr_mixed", "avg_cr_pure",
-    "beta_function", "check_density_matrix", "coherent_subspace_dim",
-    "eig_hermitian", "estimate_average", "estimate_tail", "figure1_sweep",
-    "gauss_laguerre_rule", "gen_binomial", "hermitian_part", "hs_norm",
-    "laguerre", "laguerre_moment", "laguerre_moment_quadrature", "levy_bound",
-    "lipschitz_constant_mixed", "lipschitz_constant_pure", "max_coherence",
-    "moment_table", "partial_trace_b", "pure_average_gap",
+    "check_density_matrix", "coherent_subspace_dim", "eig_hermitian",
+    "estimate_average", "estimate_tail", "figure1_sweep", "gauss_laguerre_rule",
+    "hermitian_part", "laguerre_moment", "laguerre_moment_quadrature",
+    "levy_bound", "lipschitz_constant_mixed", "lipschitz_constant_pure",
+    "max_coherence", "moment_table", "partial_trace_b", "pure_average_gap",
     "quadrature_moment_table", "relative_entropy_coherence", "run_chunked",
-    "sample_bipartite_pure", "sample_gaussian_complex", "sample_haar_pure",
-    "sample_haar_unitary", "sample_hs_mixed", "skew_coherence",
-    "skew_coherence_in_basis", "skew_coherence_pure", "skew_information",
-    "sqrt_psd", "swap_operator", "tail_bound_mixed", "tail_bound_pure",
+    "sample_haar_pure", "sample_haar_unitary", "sample_hs_mixed",
+    "skew_coherence", "skew_coherence_pure", "skew_information", "sqrt_psd",
+    "swap_operator", "tail_bound_mixed", "tail_bound_pure",
     "trace_sqrt_squared_average", "trace_sqrt_squared_mc", "twofold_twirl",
     "twofold_twirl_mc", "vandermonde_sqrt_integral",
     "vandermonde_sqrt_integral_mc",

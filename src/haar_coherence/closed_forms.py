@@ -43,29 +43,6 @@ class MomentTable:
     method: str         # "series" or "quadrature"
 
 
-def laguerre(k: int, x):
-    """Laguerre polynomial L_k(x) by the three-term recurrence."""
-    if k < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {k}")
-    xa = np.asarray(x, dtype=float)
-    cur = np.ones_like(xa)
-    if k >= 1:
-        prev, cur = cur, 1.0 - xa
-        for j in range(1, k):
-            prev, cur = cur, ((2 * j + 1 - xa) * cur - j * prev) / (j + 1)
-    return cur if isinstance(x, np.ndarray) else float(cur)
-
-
-def gen_binomial(q: float, m: int) -> float:
-    """Generalized binomial coefficient binom(q, m) for real q."""
-    if m < 0:
-        raise ValueError(f"lower index must be >= 0, got {m}")
-    out = 1.0
-    for i in range(m):
-        out *= (q - i) / (i + 1)
-    return out
-
-
 def _gen_binomial_array(q: float, m: int) -> np.ndarray:
     b = np.empty(m + 1)
     b[0] = 1.0
@@ -168,18 +145,17 @@ def avg_coherence_pure(n: int) -> float:
     return (n - 1) / (n + 1)
 
 
-def avg_coherence_mixed(n: int, validate: bool = True) -> float:
+def avg_coherence_mixed(n: int) -> float:
     """Average coherence of Hilbert-Schmidt random mixed states.
 
     Evaluates 1 - (2 + bracket/n^2)/(n + 1) from the q = 1/2 moment table over
-    degrees 0..n-1. With validate=True (the default) the table is checked
-    against the quadrature oracle first.
+    degrees 0..n-1, checked against the quadrature oracle first.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n == 1:
         return 0.0
-    table = validated_half_moment_table(n) if validate else moment_table(n, 0.5)
+    table = validated_half_moment_table(n)
     return 1.0 - (2.0 + moment_bracket(table.values) / n**2) / (n + 1)
 
 
@@ -239,12 +215,11 @@ def tail_bound_pure(n: int, epsilon: float) -> float:
 
 
 def tail_bound_mixed(n: int, epsilon: float) -> float:
-    """Mixed-state tail bound 2 exp(-n eps^2 / (72 pi^3 ln 2))."""
+    """Mixed-state tail bound 2 exp(-n eps^2 / (72 pi^3 ln 2)): the sphere
+    bound on S^{2n-1} with the reduced-state Lipschitz constant."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return 2.0 * math.exp(-n * epsilon**2 / (8.0 * _LEVY_DENOM))
+    return levy_bound(2 * n - 1, epsilon, lipschitz_constant_mixed())
 
 
 def coherent_subspace_dim(n: int, epsilon: float) -> int:
@@ -289,9 +264,3 @@ def avg_cr_mixed(n: int) -> float:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return (n - 1) / (2 * n)
 
-
-def beta_function(alpha: float, beta: float) -> float:
-    """Euler beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("beta function arguments must be positive")
-    return math.exp(math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta))

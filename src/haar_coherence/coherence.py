@@ -3,12 +3,11 @@
 import numpy as np
 from scipy.special import xlogy
 
-from .linalg import eig_hermitian, hermitian_part, hs_norm, sqrt_psd
+from .linalg import _require_hermitian, sqrt_psd
 
 # Round-off slack on the admissible coherence range [0, 1 - 1/N].
 _RANGE_SLACK = 1e-10
 _DIAG_IMAG_TOL = 1e-12
-_UNITARY_TOL = 1e-10
 
 
 def _dot(x) -> np.ndarray:
@@ -77,29 +76,17 @@ def skew_coherence_pure(psi):
     return _as_coherence(1.0 - _dot(p), psi.shape[-1])
 
 
-def relative_entropy_coherence(rho) -> float:
+def relative_entropy_coherence(rho):
     """Relative entropy of coherence S(diag rho) - S(rho), natural log.
 
     0 log 0 is taken as 0. Zero for diagonal states; for pure states this is
-    the Shannon entropy of the basis populations.
+    the Shannon entropy of the basis populations. rho must be exactly
+    Hermitian; an (..., N, N) stack gives an array.
     """
     rho = np.asarray(rho, dtype=complex)
-    values = eig_hermitian(rho).values
-    populations = np.clip(np.diagonal(rho).real, 0.0, None)
-    spectrum = np.clip(values, 0.0, None)
-    value = float(xlogy(spectrum, spectrum).sum() - xlogy(populations, populations).sum())
-    return max(value, 0.0)
-
-
-def skew_coherence_in_basis(rho, u) -> float:
-    """Coherence of rho relative to the basis formed by the columns of u.
-
-    Computes skew_coherence(U† rho U); u must be unitary within 1e-10.
-    """
-    u = np.asarray(u, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if u.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs basis {u.shape}")
-    if hs_norm(u.conj().T @ u - np.eye(u.shape[0])) >= _UNITARY_TOL:
-        raise ValueError("basis matrix is not unitary within 1e-10")
-    return skew_coherence(hermitian_part(u.conj().T @ rho @ u))
+    _require_hermitian(rho, "density matrix")
+    spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    populations = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
+    value = np.maximum(xlogy(spectrum, spectrum).sum(axis=-1)
+                       - xlogy(populations, populations).sum(axis=-1), 0.0)
+    return float(value) if value.ndim == 0 else value

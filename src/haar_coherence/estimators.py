@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import closed_forms
+from .coherence import relative_entropy_coherence
 from .sampling import RngStream, haar_pure_batch, hs_mixed_batch
 
 DEFAULT_CHUNK_SIZE = 1024
@@ -36,7 +37,7 @@ _BYTES_PER_ENTRY = 96
 # for pure states, on one thread.
 MAX_BLOCK_BYTES = 2 << 30
 
-_MEASURES = {"skew": "skew", "rel-ent": "rel-ent", "relative-entropy": "rel-ent"}
+_MEASURES = ("skew", "rel-ent")
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,18 @@ def merge_stats(a, b):
     n = na + nb
     delta = mean_b - mean_a
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def _fold_stats(partials):
+    """Merge (count, mean, M2) partials in the order given."""
+    return functools.reduce(merge_stats, partials, (0, 0.0, 0.0))
+
+
+def _block_sizes(total: int, block: int) -> list:
+    """Full blocks of `block` items, then a short last one. Every blocked loop
+    splits here; the split fixes where each RNG call cuts the stream."""
+    full, rest = divmod(total, block)
+    return [block] * full + [rest] * (rest > 0)
 
 
 def _finish(stats, master_seed, chunk_size) -> EstimatorResult:
@@ -171,25 +184,18 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    counts = [chunk_size] * (total_samples // chunk_size)
-    if total_samples % chunk_size:
-        counts.append(total_samples % chunk_size)
 
     def one_chunk(job):
         index, count = job
         return stats_of(task(RngStream(master_seed, index), count))
 
-    jobs = list(enumerate(counts))
+    jobs = list(enumerate(_block_sizes(total_samples, chunk_size)))
     if threads > 1:
         with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(one_chunk, jobs))
     else:
         partials = [one_chunk(job) for job in jobs]
-
-    merged = partials[0]
-    for part in partials[1:]:
-        merged = merge_stats(merged, part)
-    return _finish(merged, master_seed, chunk_size)
+    return _finish(_fold_stats(partials), master_seed, chunk_size)
 
 
 def _pure_task(n: int, measure: str):
@@ -207,27 +213,20 @@ def _mixed_block(n: int) -> int:
     return max(1, _BLOCK_DRAWS // (n * n))
 
 
+def _skew_values(rho):
+    w, v = np.linalg.eigh(rho)
+    root = np.sqrt(np.clip(w, 0.0, None))
+    diag = np.einsum("bka,ba->bk", np.abs(v) ** 2, root)
+    return 1.0 - (diag * diag).sum(axis=1)
+
+
 def _mixed_task(n: int, measure: str):
     block = _mixed_block(n)
+    values = _skew_values if measure == "skew" else relative_entropy_coherence
 
     def task(rng, count):
-        out = np.empty(count)
-        done = 0
-        while done < count:
-            b = min(block, count - done)
-            rho = hs_mixed_batch(rng, n, b)
-            if measure == "skew":
-                w, v = np.linalg.eigh(rho)
-                root = np.sqrt(np.clip(w, 0.0, None))
-                diag = np.einsum("bka,ba->bk", np.abs(v) ** 2, root)
-                out[done:done + b] = 1.0 - (diag * diag).sum(axis=1)
-            else:
-                spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-                populations = np.clip(np.diagonal(rho, axis1=1, axis2=2).real, 0.0, None)
-                out[done:done + b] = (xlogy(spectrum, spectrum).sum(axis=1)
-                                      - xlogy(populations, populations).sum(axis=1))
-            done += b
-        return out
+        return np.concatenate([values(hs_mixed_batch(rng, n, b))
+                               for b in _block_sizes(count, block)])
 
     return task
 
@@ -235,7 +234,6 @@ def _mixed_task(n: int, measure: str):
 def _coherence_task(ensemble: str, n: int, measure: str):
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
-    measure = _MEASURES[measure]
     if ensemble == "pure":
         return _pure_task(n, measure)
     if ensemble == "mixed":

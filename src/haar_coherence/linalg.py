@@ -1,6 +1,6 @@
 """Dense complex linear algebra kernel: Hermitian eigendecomposition,
-closed-form small-n spectra, PSD square root, partial trace, Hilbert-Schmidt
-norm and the swap operator."""
+closed-form small-n spectra, PSD square root, partial trace and the swap
+operator."""
 
 from typing import NamedTuple
 
@@ -184,11 +184,6 @@ def swap_operator(n: int) -> np.ndarray:
         for j in range(n):
             f[i * n + j, j * n + i] = 1.0
     return f
-
-
-def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr M† M)."""
-    return float(np.linalg.norm(np.asarray(m)))
 
 
 def check_density_matrix(rho, trace_tol: float = 1e-12) -> np.ndarray:

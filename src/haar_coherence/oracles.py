@@ -14,9 +14,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .closed_forms import MomentTable
-from .estimators import _BLOCK_DRAWS, EstimatorResult, _finish, merge_stats, stats_of
+from .estimators import (_BLOCK_DRAWS, EstimatorResult, _block_sizes, _finish,
+                         _fold_stats, stats_of)
 from .linalg import hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
+
+# Unitaries per haar_unitary_batch call of the twirl MC. Block boundaries fix
+# where each draw splits the stream, so a different size moves the result.
+_TWIRL_BLOCK = 4096
 
 # Above this dimension the heavy-tailed Vandermonde integrand makes the plain
 # Monte Carlo estimate useless at desk-scale sample counts.
@@ -140,8 +145,13 @@ def quadrature_moment_table(n: int, q: float) -> MomentTable:
     return MomentTable(q=q, values=values, method="quadrature")
 
 
-def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream,
-                                 block: int = None) -> EstimatorResult:
+def _blocked_mean(values, samples: int, entries: int, rng: RngStream) -> EstimatorResult:
+    """Mean of values(b) over blocks of about _BLOCK_DRAWS / entries samples each."""
+    blocks = _block_sizes(samples, max(1, _BLOCK_DRAWS // entries))
+    return _finish(_fold_stats(stats_of(values(b)) for b in blocks), rng.master_seed, samples)
+
+
+def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
     """Monte Carlo estimate of the integral of sqrt(mu1 mu2) e^{-sum mu}
     |Delta(mu)|^2 over the positive orthant.
 
@@ -157,20 +167,16 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream,
             f"Monte Carlo route is limited to dimension <= {_VANDERMONDE_MAX_DIM}, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if block is None:
-        block = max(1, _BLOCK_DRAWS // n)
-    stats = (0, 0.0, 0.0)
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
+
+    def values(b):
         mu = rng.exponential(b * n).reshape(b, n)
         f = np.sqrt(mu[:, 0] * mu[:, 1])
         for i in range(n):
             for j in range(i + 1, n):
                 f = f * (mu[:, i] - mu[:, j]) ** 2
-        stats = merge_stats(stats, stats_of(f))
-        done += b
-    return _finish(stats, rng.master_seed, samples)
+        return f
+
+    return _blocked_mean(values, samples, n, rng)
 
 
 def twofold_twirl(a, n: int) -> np.ndarray:
@@ -194,12 +200,11 @@ def twofold_twirl(a, n: int) -> np.ndarray:
     return coeff_id * np.eye(n * n) + coeff_swap * f
 
 
-def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream,
-                     block: int = 4096) -> np.ndarray:
+def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
     """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries.
 
-    One haar_unitary_batch call per block of ``block`` unitaries fixes the RNG
-    order. Each block of W = U x U (d = n^2) is folded in by two matrix products:
+    One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the
+    RNG order. Each block of W = U x U (d = n^2) is folded in by two matrix products:
     X = [W_1; ...; W_b] A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
     """
     a = np.asarray(a, dtype=complex)
@@ -209,33 +214,23 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream,
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     total = np.zeros((d, d), dtype=complex)
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
+    for b in _block_sizes(samples, _TWIRL_BLOCK):
         u = haar_unitary_batch(rng, n, b)
         w = np.einsum("bij,bkl->bikjl", u, u).reshape(b, d, d)
         x = (w.reshape(b * d, d) @ a).reshape(b, d, d).transpose(1, 0, 2)
         total += x.reshape(d, b * d) @ w.conj().transpose(0, 2, 1).reshape(b * d, d)
-        done += b
     return total / samples
 
 
-def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream,
-                          block: int = None) -> EstimatorResult:
+def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
     """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if block is None:
-        block = max(1, _BLOCK_DRAWS // (n * n))
-    stats = (0, 0.0, 0.0)
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
-        rho = hs_mixed_batch(rng, n, b)
-        spectrum = np.clip(hermitian_eigvalsh(rho), 0.0, None)
-        values = np.sqrt(spectrum).sum(axis=1) ** 2
-        stats = merge_stats(stats, stats_of(values))
-        done += b
-    return _finish(stats, rng.master_seed, samples)
+
+    def values(b):
+        spectrum = np.clip(hermitian_eigvalsh(hs_mixed_batch(rng, n, b)), 0.0, None)
+        return np.sqrt(spectrum).sum(axis=1) ** 2
+
+    return _blocked_mean(values, samples, n * n, rng)

@@ -124,12 +124,6 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return w / trace[:, None, None]
 
 
-def sample_gaussian_complex(rng: RngStream, n: int) -> np.ndarray:
-    """Vector of n iid standard complex normals."""
-    _require_dim(n)
-    return rng.complex_normal(n)
-
-
 def sample_haar_pure(rng: RngStream, n: int) -> np.ndarray:
     """One Haar-random pure state of dimension n."""
     return haar_pure_batch(rng, n, 1)[0]
@@ -143,8 +137,3 @@ def sample_haar_unitary(rng: RngStream, n: int) -> np.ndarray:
 def sample_hs_mixed(rng: RngStream, n: int) -> np.ndarray:
     """One Hilbert-Schmidt random density matrix of dimension n."""
     return hermitian_part(hs_mixed_batch(rng, n, 1)[0])
-
-
-def sample_bipartite_pure(rng: RngStream, n: int) -> np.ndarray:
-    """One Haar-random pure state on the n*n bipartite product space."""
-    return sample_haar_pure(rng, n * n)

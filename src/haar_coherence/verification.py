@@ -219,7 +219,8 @@ def check_lipschitz_pure(seed):
         psi = haar_pure_batch(rng, n, 10**4)
         phi = haar_pure_batch(rng, n, 10**4)
         delta = np.abs(skew_coherence_pure(psi) - skew_coherence_pure(phi))
-        allowed = (4.0 / n) * np.linalg.norm(psi - phi, axis=1) + 1e-12
+        slope = closed_forms.lipschitz_constant_pure(n)
+        allowed = slope * np.linalg.norm(psi - phi, axis=1) + 1e-12
         worst = _worst(worst, delta - allowed)
     return CheckResult("pure-state Lipschitz bound, slope 4/N (10^4 random pairs per N)",
                        worst <= 0.0, f"max violation {worst:.2e}")
@@ -227,6 +228,7 @@ def check_lipschitz_pure(seed):
 
 def check_lipschitz_bipartite(seed):
     worst = 0.0
+    slope = closed_forms.lipschitz_constant_mixed()
     for n in (2, 3):
         rng = _stream(seed, f"lipmix-{n}")
         psi = haar_pure_batch(rng, n * n, 1000)
@@ -236,7 +238,7 @@ def check_lipschitz_bipartite(seed):
         rho = hermitian_part(partial_trace_b(_outer(psi), n, n))
         sigma = hermitian_part(partial_trace_b(_outer(phi), n, n))
         reduced = np.abs(skew_coherence(rho) - skew_coherence(sigma))
-        worst = _worst(worst, full - 4.0 * dist - 1e-10, reduced - 4.0 * dist - 1e-10)
+        worst = _worst(worst, full - slope * dist - 1e-10, reduced - slope * dist - 1e-10)
     return CheckResult("bipartite Lipschitz bound, slope 4 (10^3 pairs, N=2,3)",
                        worst <= 0.0, f"max violation {worst:.2e}")
 

@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import oracles
+from haar_coherence import oracles, verification
 from haar_coherence.estimators import estimate_average, estimate_tail
-from haar_coherence.linalg import hermitian_part, swap_operator
+from haar_coherence.linalg import swap_operator
 from haar_coherence.sampling import RngStream
 
 
@@ -65,30 +65,17 @@ def test_criterion_4_laguerre_moment_oracle():
 
 
 def test_criterion_5_vandermonde_integral():
-    est2 = oracles.vandermonde_sqrt_integral_mc(2, 10**6, RngStream(5002, 0))
-    target = 3 * math.pi / 4
-    z_moment = abs(est2.mean - target) / est2.stderr
-    z_closed2 = abs(est2.mean - cf.vandermonde_sqrt_integral(2)) / est2.stderr
-    est3 = oracles.vandermonde_sqrt_integral_mc(3, 10**7, RngStream(5003, 0))
-    z_closed3 = abs(est3.mean - cf.vandermonde_sqrt_integral(3)) / est3.stderr
-    worst = max(z_moment, z_closed2, z_closed3)
+    # the verify check itself, with its gates: n=2 against 3pi/4 and the
+    # closed form, n=3 against the closed form, each within 4 sigma
+    result = verification.check_vandermonde_mc(5000)
     _report("criterion 5 (exp-weighted Vandermonde integral, n=2,3)",
-            worst <= 4.0,
-            f"n=2 vs 3pi/4: {z_moment:.2f} sigma; n=2 vs closed: {z_closed2:.2f}; "
-            f"n=3 vs closed: {z_closed3:.2f} (limit 4)")
+            result.passed, result.detail)
 
 
 def test_criterion_6_twirl_identity():
-    samples = 10**5
-    worst_ratio = 0.0
-    for n in (2, 3):
-        rng = RngStream(6000 + n, 0)
-        for _ in range(5):
-            a = hermitian_part(rng.complex_normal((n * n) ** 2).reshape(n * n, n * n))
-            emp = oracles.twofold_twirl_mc(a, n, samples, rng)
-            gap = float(np.abs(emp - oracles.twofold_twirl(a, n)).max())
-            budget = 5 * float(np.linalg.norm(a)) / math.sqrt(samples)
-            worst_ratio = max(worst_ratio, gap / budget)
+    # the verify check: 5 random Hermitian A per N = 2, 3, entrywise error
+    # under 5||A||/sqrt(S) at S = 10^5
+    result = verification.check_twirl_mc(6000)
     fixed = all(
         np.array_equal(oracles.twofold_twirl(np.eye(n * n, dtype=complex), n),
                        np.eye(n * n)) and
@@ -98,21 +85,17 @@ def test_criterion_6_twirl_identity():
     emp_eye = oracles.twofold_twirl_mc(np.eye(4, dtype=complex), 2, 100, RngStream(6010, 0))
     eye_gap = float(np.abs(emp_eye - np.eye(4)).max())
     _report("criterion 6 (two-fold twirl vs closed form)",
-            worst_ratio < 1.0 and fixed and eye_gap < 1e-12,
-            f"worst error {worst_ratio:.2f} of 5||A||/sqrt(S); closed-form fixed "
-            f"points exact; empirical identity residual {eye_gap:.1e}")
+            result.passed and fixed and eye_gap < 1e-12,
+            f"{result.detail}; closed-form fixed points exact; empirical identity "
+            f"residual {eye_gap:.1e}")
 
 
 def test_criterion_7_spectral_average():
-    est2 = oracles.trace_sqrt_squared_mc(2, 10**6, RngStream(7002, 0))
-    target = 1 + 3 * math.pi / 16
-    exact_gap = abs(cf.trace_sqrt_squared_average(2) - target)
-    z2 = abs(est2.mean - target) / est2.stderr
-    est3 = oracles.trace_sqrt_squared_mc(3, 10**6, RngStream(7003, 0))
-    z3 = abs(est3.mean - cf.trace_sqrt_squared_average(3)) / est3.stderr
+    # the verify check: N = 2 against 1 + 3pi/16 (closed form to 1e-12) and
+    # N = 3 against the closed form, each within 4 sigma
+    result = verification.check_spectral_average(7000)
     _report("criterion 7 (spectral average of (Tr sqrt(rho))^2)",
-            z2 <= 4.0 and z3 <= 4.0 and exact_gap < 1e-12,
-            f"N=2: {z2:.2f} sigma vs 1 + 3pi/16; N=3: {z3:.2f} sigma vs closed form")
+            result.passed, result.detail)
 
 
 def test_criterion_8_typicality():

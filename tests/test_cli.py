@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,23 @@ def test_closed_form_pure_avg(capsys):
     assert code == 0
     record = json.loads(out)
     assert record == {"measure": "pure-avg", "N": 3, "value": 0.5}
+
+
+@pytest.mark.parametrize("dim, code", [("2", 0), ("0", 2)])
+def test_module_entry_point_runs_and_fails_closed(dim, code):
+    # `python -m haar_coherence.cli` must run the command, not import and exit 0
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "haar_coherence.cli", "closed-form",
+                           "--measure", "pure-avg", "--dim", dim],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout) == {"measure": "pure-avg", "N": 2,
+                                           "value": 1.0 / 3.0}
+    else:
+        assert proc.stdout == "" and "positive integer" in proc.stderr
 
 
 def test_closed_form_mixed_avg(capsys):

@@ -7,31 +7,6 @@ import pytest
 from haar_coherence import closed_forms as cf
 
 
-def test_laguerre_low_orders():
-    assert cf.laguerre(0, 3.7) == 1.0
-    assert cf.laguerre(1, 2.0) == pytest.approx(-1.0)
-    assert cf.laguerre(2, 1.0) == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        cf.laguerre(-1, 0.0)
-
-
-def test_laguerre_three_term_recurrence():
-    for x in (0.0, 0.5, 3.0, 17.5):
-        for k in range(1, 12):
-            lhs = (k + 1) * cf.laguerre(k + 1, x)
-            rhs = (2 * k + 1 - x) * cf.laguerre(k, x) - k * cf.laguerre(k - 1, x)
-            assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
-
-
-def test_gen_binomial_values():
-    assert cf.gen_binomial(0.5, 0) == 1.0
-    assert cf.gen_binomial(0.5, 1) == pytest.approx(0.5)
-    assert cf.gen_binomial(0.5, 2) == pytest.approx(-0.125)
-    for m in range(10):
-        step = cf.gen_binomial(0.5, m) * (0.5 - m) / (m + 1)
-        assert cf.gen_binomial(0.5, m + 1) == pytest.approx(step, rel=1e-14)
-
-
 def test_laguerre_moment_known_values():
     root_pi = math.sqrt(math.pi)
     assert cf.laguerre_moment(0, 0, 0.5) == pytest.approx(root_pi / 2, abs=1e-14)
@@ -141,6 +116,20 @@ def test_tail_bound_mixed_values():
             cf.tail_bound_mixed(n**2, 0.1), rel=1e-12)
 
 
+def test_tail_bound_mixed_is_levy_bound_bit_for_bit():
+    # the mixed bound is levy_bound on S^{2n-1} with slope 4, and equals the
+    # direct formula 2 exp(-n eps^2 / (72 pi^3 ln 2)) to the last bit
+    denom = 72.0 * math.pi**3 * math.log(2.0)
+    for n in range(2, 200):
+        for eps in np.linspace(0.01, 1.0, 50):
+            eps = float(eps)
+            assert cf.tail_bound_mixed(n, eps) == 2.0 * math.exp(-n * eps**2 / denom)
+    with pytest.raises(ValueError):
+        cf.tail_bound_mixed(1, 0.1)
+    with pytest.raises(ValueError):
+        cf.tail_bound_mixed(4, 0.0)
+
+
 def test_tail_bounds_monotone():
     for eps in (0.05, 0.1, 0.3):
         values = [cf.tail_bound_pure(n, eps) for n in range(2, 40)]
@@ -178,16 +167,6 @@ def test_avg_cr_mixed():
     assert cf.avg_cr_mixed(1) == 0.0
     assert cf.avg_cr_mixed(2) == pytest.approx(0.25, abs=1e-15)
     assert cf.avg_cr_mixed(10**9) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_beta_function():
-    assert cf.beta_function(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert cf.beta_function(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
-    for n in (3, 5, 12):
-        expected = 2.0 / ((n + 1) * n * (n - 1))
-        assert cf.beta_function(3.0, n - 1.0) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        cf.beta_function(-1.0, 2.0)
 
 
 def test_pure_average_gap_identity():

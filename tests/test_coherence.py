@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from haar_coherence.coherence import (relative_entropy_coherence,
-                                      skew_coherence, skew_coherence_in_basis,
-                                      skew_coherence_pure, skew_information,
-                                      sqrt_diagonal)
+                                      skew_coherence, skew_coherence_pure,
+                                      skew_information, sqrt_diagonal)
 from haar_coherence.linalg import hermitian_part, partial_trace_b
-from haar_coherence.sampling import (RngStream, haar_pure_batch,
-                                     haar_unitary_batch, hs_mixed_batch)
+from haar_coherence.sampling import RngStream, haar_pure_batch, hs_mixed_batch
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 TILTED = 0.5 * (np.eye(2) + 0.6 * SIGMA_X)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
 
 
 def projector(k, n):
@@ -115,21 +112,6 @@ def test_relative_entropy_coherence_of_pure_state_is_population_entropy():
         assert relative_entropy_coherence(rho) == pytest.approx(expected, abs=1e-8)
 
 
-def test_rotated_basis_cases():
-    assert skew_coherence_in_basis(TILTED, np.eye(2, dtype=complex)) == pytest.approx(
-        skew_coherence(TILTED), abs=1e-14)
-    rng = RngStream(97, 0)
-    u = haar_unitary_batch(rng, 4, 1)[0]
-    assert skew_coherence_in_basis(np.eye(4, dtype=complex) / 4, u) == pytest.approx(0.0, abs=1e-12)
-    ket0 = np.diag([1.0, 0.0]).astype(complex)
-    assert skew_coherence_in_basis(ket0, HADAMARD) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_rotated_basis_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        skew_coherence_in_basis(TILTED, np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
-
-
 def test_coherence_range_on_random_states():
     rng = RngStream(103, 0)
     for n in (2, 3, 4, 8):
@@ -173,12 +155,35 @@ def test_stack_coherence_equals_per_state_loop(n):
     assert np.array_equal(skew_coherence_pure(psi), [skew_coherence_pure(p) for p in psi])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_relative_entropy_stack_equals_per_state_loop(n):
+    rho = hs_mixed_batch(RngStream(508, n), n, 20)
+    stacked = relative_entropy_coherence(rho)
+    assert stacked.shape == (20,)
+    assert np.array_equal(stacked, [relative_entropy_coherence(r) for r in rho])
+    # a (2, 10, n, n) stack keeps its leading shape
+    assert np.array_equal(relative_entropy_coherence(rho.reshape(2, 10, n, n)),
+                          stacked.reshape(2, 10))
+
+
+def test_relative_entropy_rejects_non_hermitian_input():
+    rho = TILTED.copy()
+    rho[0, 1] += 1e-15
+    with pytest.raises(ValueError, match="Hermitian"):
+        relative_entropy_coherence(rho)
+    stack = hs_mixed_batch(RngStream(509, 3), 3, 4)
+    stack[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        relative_entropy_coherence(stack)
+
+
 def test_single_state_returns_python_float():
     rho = hermitian_part(hs_mixed_batch(RngStream(503, 3), 3, 1)[0])
     psi = haar_pure_batch(RngStream(504, 3), 3, 1)[0]
     assert type(skew_coherence(rho)) is float
     assert type(skew_information(rho, projector(0, 3))) is float
     assert type(skew_coherence_pure(psi)) is float
+    assert type(relative_entropy_coherence(rho)) is float
 
 
 def test_skew_information_broadcasts_observables_against_states():

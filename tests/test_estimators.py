@@ -129,18 +129,14 @@ def test_estimate_average_validates_arguments():
         estimate_average("thermal", 2, 100, 0)
     with pytest.raises(ValueError):
         estimate_average("pure", 2, 100, 0, measure="l1")
+    with pytest.raises(ValueError):
+        estimate_average("pure", 2, 100, 0, measure="relative-entropy")
 
 
 def test_estimate_average_pure_matches_theory():
     est = estimate_average("pure", 2, 10**5, seed=7)
     assert abs(est.mean - 1.0 / 3.0) < 4 * est.stderr
     assert 1e-4 < est.stderr < 2e-3
-
-
-def test_estimate_average_accepts_long_measure_name():
-    short = estimate_average("pure", 3, 2000, seed=3, measure="rel-ent")
-    long = estimate_average("pure", 3, 2000, seed=3, measure="relative-entropy")
-    assert short == long
 
 
 def test_mixed_task_matches_public_measures():

@@ -6,8 +6,8 @@ import pytest
 
 from haar_coherence.linalg import (EIG_CLAMP, check_density_matrix,
                                    eig_hermitian, hermitian_eigvalsh,
-                                   hermitian_part, hs_norm, partial_trace_b,
-                                   sqrt_psd, swap_operator)
+                                   hermitian_part, partial_trace_b, sqrt_psd,
+                                   swap_operator)
 from haar_coherence.sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -50,8 +50,8 @@ def test_eig_reconstruction_and_unitarity(n):
         values, vectors = eig_hermitian(m)
         assert np.all(np.diff(values) >= 0)
         recon = (vectors * values) @ vectors.conj().T
-        assert hs_norm(recon - m) < 1e-10 * hs_norm(m)
-        assert hs_norm(vectors.conj().T @ vectors - np.eye(n)) < 1e-10
+        assert np.linalg.norm(recon - m) < 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) < 1e-10
 
 
 def test_sqrt_psd_scalar_matrix():
@@ -77,7 +77,7 @@ def test_sqrt_psd_squares_back():
     rng = RngStream(7, 0)
     for rho in hs_mixed_batch(rng, 5, 20):
         root = sqrt_psd(rho)
-        assert hs_norm(root @ root - rho) < 1e-9 * hs_norm(rho)
+        assert np.linalg.norm(root @ root - rho) < 1e-9 * np.linalg.norm(rho)
 
 
 def test_sqrt_psd_clamps_tiny_negatives():
@@ -151,17 +151,21 @@ def test_swap_trace_and_involution():
 
 
 def test_hs_norm_values():
-    assert hs_norm(np.zeros((3, 3))) == 0.0
-    assert hs_norm(np.eye(4)) == pytest.approx(2.0)
+    # np.linalg.norm of a matrix is the Hilbert-Schmidt norm sqrt(Tr M† M)
+    # that the twirl MC budget is stated in
+    m = RngStream(23, 0).complex_normal(16).reshape(4, 4)
+    assert np.linalg.norm(m) == pytest.approx(math.sqrt(np.trace(m.conj().T @ m).real))
+    assert np.linalg.norm(np.zeros((3, 3))) == 0.0
+    assert np.linalg.norm(np.eye(4)) == pytest.approx(2.0)
     m = np.array([[1.0, 2.0j], [0.0, -1.0]])
-    assert hs_norm(m) == pytest.approx(math.sqrt(6.0))
+    assert np.linalg.norm(m) == pytest.approx(math.sqrt(6.0))
 
 
 def test_hs_norm_triangle_inequality():
     rng = RngStream(29, 0)
     for _ in range(50):
         a, b, c = (rng.complex_normal(9).reshape(3, 3) for _ in range(3))
-        assert hs_norm(a - c) <= hs_norm(a - b) + hs_norm(b - c) + 1e-12
+        assert np.linalg.norm(a - c) <= np.linalg.norm(a - b) + np.linalg.norm(b - c) + 1e-12
 
 
 def test_check_density_matrix():

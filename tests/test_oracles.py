@@ -6,8 +6,10 @@ from scipy.special import roots_genlaguerre
 
 from haar_coherence import closed_forms as cf
 from haar_coherence import oracles
+from haar_coherence.estimators import _finish, merge_stats, stats_of
+from haar_coherence.linalg import hermitian_eigvalsh
 from haar_coherence.linalg import hermitian_part, swap_operator
-from haar_coherence.sampling import RngStream, haar_unitary_batch
+from haar_coherence.sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 
 def test_rule_single_node_alpha_zero():
@@ -196,12 +198,49 @@ def _twirl_mc_einsum(a, n, samples, rng, block):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_twirl_mc_matches_einsum_reference_and_rng_order(n):
+def test_twirl_mc_matches_einsum_reference_and_rng_order(n, monkeypatch):
     block, samples = 256, 2 * 256 + 37  # two full blocks and a short final one
     # a general, non-Hermitian operator
     a = RngStream(241, n).complex_normal((n * n) ** 2).reshape(n * n, n * n)
     rng, ref_rng = RngStream(251, n), RngStream(251, n)
-    emp = oracles.twofold_twirl_mc(a, n, samples, rng, block=block)
+    monkeypatch.setattr(oracles, "_TWIRL_BLOCK", block)
+    emp = oracles.twofold_twirl_mc(a, n, samples, rng)
     ref = _twirl_mc_einsum(a, n, samples, ref_rng, block)
     assert float(np.abs(emp - ref).max()) <= 1e-14
+    assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+
+
+def _vandermonde_values(rng, n, b):
+    mu = rng.exponential(b * n).reshape(b, n)
+    f = np.sqrt(mu[:, 0] * mu[:, 1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = f * (mu[:, i] - mu[:, j]) ** 2
+    return f
+
+
+def _spectral_values(rng, n, b):
+    spectrum = np.clip(hermitian_eigvalsh(hs_mixed_batch(rng, n, b)), 0.0, None)
+    return np.sqrt(spectrum).sum(axis=1) ** 2
+
+
+@pytest.mark.parametrize("oracle, values, entries, n", [
+    (oracles.vandermonde_sqrt_integral_mc, _vandermonde_values, lambda n: n, 3),
+    (oracles.trace_sqrt_squared_mc, _spectral_values, lambda n: n * n, 2),
+    (oracles.trace_sqrt_squared_mc, _spectral_values, lambda n: n * n, 5),
+])
+def test_stats_oracles_match_hand_rolled_block_loop(oracle, values, entries, n, monkeypatch):
+    block, samples = 256, 2 * 256 + 37  # two full blocks and a short final one
+    monkeypatch.setattr(oracles, "_BLOCK_DRAWS", block * entries(n))
+    rng, ref_rng = RngStream(257, n), RngStream(257, n)
+    est = oracle(n, samples, rng)
+    stats, done, pooled = (0, 0.0, 0.0), 0, []
+    while done < samples:
+        b = min(block, samples - done)
+        pooled.append(values(ref_rng, n, b))
+        stats = merge_stats(stats, stats_of(pooled[-1]))
+        done += b
+    assert [len(p) for p in pooled] == [256, 256, 37]
+    assert est == _finish(stats, 257, samples)
+    assert est.mean == pytest.approx(np.concatenate(pooled).mean(), rel=1e-12)
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
