@@ -18,7 +18,7 @@ from scipy.special import xlogy
 
 from . import closed_forms
 from .coherence import relative_entropy_coherence
-from .sampling import RngStream, haar_pure_batch, hs_mixed_batch
+from .sampling import RngStream, haar_populations_batch, hs_mixed_batch
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -27,14 +27,15 @@ DEFAULT_CHUNK_SIZE = 1024
 _BLOCK_DRAWS = 1 << 21
 
 # Peak bytes of one draw block per complex entry drawn. Measured peaks of one
-# task call (ru_maxrss, 2-16 M entries): 56 B for pure states, 56 B (rel-ent)
-# to 83 B (skew, eigh) for mixed ones; 96 B covers both with room.
+# task call (ru_maxrss, 2-16 M entries): 25 B for pure states (populations
+# only), 56 B (rel-ent) to 83 B (skew, eigh) for mixed ones; 96 B covers both
+# with room.
 _BYTES_PER_ENTRY = 96
 
 # Largest estimated working set of the draw blocks in flight at once; above it
 # mc/tail refuse before sampling instead of failing with MemoryError. A quarter
-# of an 8 GB host: mixed N <= 4729 (one state per block), or chunk x N <= 22 M
-# for pure states, on one thread.
+# of an 8 GB host: mixed N <= 4729 or pure N <= 22 M (one state per block), on
+# one thread.
 MAX_BLOCK_BYTES = 2 << 30
 
 _MEASURES = ("skew", "rel-ent")
@@ -198,19 +199,25 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     return _finish(_fold_stats(partials), master_seed, chunk_size)
 
 
+def _block_states(entries: int) -> int:
+    """States per draw block of a task whose states take `entries` draws each:
+    at least one."""
+    return max(1, _BLOCK_DRAWS // entries)
+
+
 def _pure_task(n: int, measure: str):
-    def task(rng, count):
-        p = np.abs(haar_pure_batch(rng, n, count)) ** 2
+    block = _block_states(n)
+
+    def values(rng, count):
+        p = haar_populations_batch(rng, n, count)
         if measure == "skew":
             return 1.0 - (p * p).sum(axis=1)
         return -xlogy(p, p).sum(axis=1)
 
+    def task(rng, count):
+        return np.concatenate([values(rng, b) for b in _block_sizes(count, block)])
+
     return task
-
-
-def _mixed_block(n: int) -> int:
-    """States per draw block of the mixed task: at least one N x N state."""
-    return max(1, _BLOCK_DRAWS // (n * n))
 
 
 def _skew_values(rho):
@@ -221,7 +228,7 @@ def _skew_values(rho):
 
 
 def _mixed_task(n: int, measure: str):
-    block = _mixed_block(n)
+    block = _block_states(n * n)
     values = _skew_values if measure == "skew" else relative_entropy_coherence
 
     def task(rng, count):
@@ -245,14 +252,12 @@ def _check_block_memory(ensemble: str, n: int, samples: int, chunk_size: int,
                         threads: int):
     """Refuse, before anything is drawn, runs whose draw blocks exceed MAX_BLOCK_BYTES.
 
-    The pure task draws a whole chunk at once, the mixed task at least one
-    state per block; up to `threads` chunks are in flight together.
+    Both tasks draw in blocks of at least one state; up to `threads` chunks
+    are in flight together.
     """
     count = min(chunk_size, samples)
-    if ensemble == "pure":
-        entries = count * n
-    else:
-        entries = min(count, _mixed_block(n)) * n * n
+    per_state = n if ensemble == "pure" else n * n
+    entries = min(count, _block_states(per_state)) * per_state
     chunks = -(-samples // chunk_size)
     in_flight = min(threads, chunks)
     needed = entries * _BYTES_PER_ENTRY * in_flight

@@ -65,6 +65,21 @@ class RngStream:
         """n iid Exponential(1) variates by inverse transform."""
         return -np.log1p(-self.uniform(n))
 
+    def _skip(self, n: int) -> None:
+        """Leave the stream where uniform(n) would, without drawing it.
+
+        Philox yields its 64-bit outputs four per counter step: those still
+        buffered are dropped, whole steps are jumped by `advance` (which also
+        empties the buffer), and the last partial step is drawn.
+        """
+        buffered = 4 - self._bits.state["buffer_pos"]
+        if n <= buffered:
+            self._bits.random_raw(n)
+            return
+        rest = n - buffered
+        self._bits.advance(rest // 4)
+        self._bits.random_raw(rest % 4)
+
 
 def _require_dim(n):
     if n < 1:
@@ -76,6 +91,20 @@ def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     _require_dim(n)
     z = rng.complex_normal(count * n).reshape(count, n)
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def haar_populations_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
+    """(count, n) populations |psi_k|^2 of the states haar_pure_batch draws.
+
+    The squared radius of a polar Box-Muller normal is the Exponential(1)
+    variate of its first uniform block, so p = e / sum(e) equals the
+    haar_pure_batch populations up to round-off without the phase block,
+    which is skipped: the stream is left where haar_pure_batch leaves it.
+    """
+    _require_dim(n)
+    e = rng.exponential(count * n).reshape(count, n)
+    rng._skip(count * n)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _gram_schmidt(g: np.ndarray) -> np.ndarray:

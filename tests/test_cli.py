@@ -130,6 +130,17 @@ def test_mc_csv_output_and_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_mc_pure_dimension_one_is_exactly_zero(capsys, measure):
+    # a one-dimensional state has population exactly 1: no round-off survives
+    code, out, _ = run_cli(capsys, "mc", "--ensemble", "pure", "--dim", "1",
+                           "--samples", "5000", "--seed", "3", "--measure", measure,
+                           "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert repr(record["mean"]) == "0.0" and repr(record["stderr"]) == "0.0"
+
+
 def test_mc_json_output(capsys):
     code, out, _ = run_cli(capsys, "mc", "--ensemble", "mixed", "--dim", "2",
                            "--samples", "3000", "--seed", "3", "--format", "json",
@@ -160,12 +171,12 @@ def test_threads_env_fallback(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mc", "--ensemble", "pure", "--dim", "1000000", "--chunk", "1000000",
+    ("mc", "--ensemble", "pure", "--dim", "30000000", "--chunk", "1000000",
      "--samples", "1000000"),
     ("mc", "--ensemble", "mixed", "--dim", "100000", "--samples", "2"),
     ("mc", "--ensemble", "mixed", "--dim", "4000", "--samples", "4", "--chunk", "2",
      "--threads", "2", "--measure", "rel-ent"),
-    ("tail", "--ensemble", "pure", "--dim", "100000", "--epsilon", "0.1",
+    ("tail", "--ensemble", "pure", "--dim", "30000000", "--epsilon", "0.1",
      "--chunk", "1000", "--samples", "1000"),
     ("tail", "--ensemble", "mixed", "--dim", "100000", "--epsilon", "0.1"),
 ])

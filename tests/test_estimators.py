@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from haar_coherence import closed_forms as cf
 from haar_coherence import estimators
@@ -154,18 +155,82 @@ def test_mixed_task_matches_public_measures():
 
 
 def test_block_memory_limit_counts_blocks_in_flight():
-    # 20 M complex entries per pure chunk sit just under the 2 GiB estimate;
-    # two chunks drawn at once do not
+    # a one-state block of 22,369,621 pure entries sits just under the 2 GiB
+    # estimate; one more entry, or two such blocks drawn at once, do not
     check = estimators._check_block_memory
-    check("pure", 1000, 20_000, 20_000, threads=1)
-    check("pure", 1000, 40_000, 20_000, threads=1)
-    check("pure", 1000, 20_000, 20_000, threads=2)  # one chunk: one worker busy
+    check("pure", 22_369_621, 2, 1, threads=1)
+    check("pure", 22_369_621, 4, 1, threads=1)
+    check("pure", 22_369_621, 2, 2, threads=2)  # one chunk: one worker busy
     with pytest.raises(ValueError, match="GiB limit"):
-        check("pure", 1000, 40_000, 20_000, threads=2)
-    # the mixed task blocks its draws, so only N sets its size
+        check("pure", 22_369_622, 2, 1, threads=1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("pure", 11_184_811, 2, 1, threads=2)
+    check("pure", 11_184_810, 2, 1, threads=2)
+    # the mixed task blocks its draws too, so only N sets its size
     check("mixed", 4729, 10**6, 10**6, threads=1)
     with pytest.raises(ValueError, match="GiB limit"):
         check("mixed", 4730, 2, 1, threads=1)
+
+
+def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch):
+    # with the limit at one full block (2^21 entries) any chunk is admitted:
+    # the estimate counts at most one block of states per chunk in flight
+    full_block = estimators._BLOCK_DRAWS * estimators._BYTES_PER_ENTRY
+    check = estimators._check_block_memory
+    monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", full_block)
+    for chunk in (1, 2**20, 2**20 + 1, 2**30):
+        check("pure", 2, chunk, chunk, threads=1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("pure", 2, 2**21, 2**20, threads=2)
+    monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", full_block - 1)
+    check("pure", 2, 2**20 - 1, 2**20 - 1, threads=1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("pure", 2, 2**30, 2**30, threads=1)
+
+
+def _pure_values(p, measure):
+    if measure == "skew":
+        return 1.0 - (p * p).sum(axis=1)
+    return -xlogy(p, p).sum(axis=1)
+
+
+def _unblocked_pure(rng, n, count, measure):
+    """The pure task as one draw of the whole chunk, phase block drawn and dropped."""
+    e = rng.exponential(count * n).reshape(count, n)
+    rng.uniform(count * n)
+    return _pure_values(e / e.sum(axis=1, keepdims=True), measure)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 29])
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_pure_task_matches_haar_pure_batch(n, measure):
+    # populations from the radius block alone: the states' |psi_k|^2 up to
+    # round-off, and the stream left where haar_pure_batch leaves it
+    task_rng, batch_rng = RngStream(41, n), RngStream(41, n)
+    values = estimators._pure_task(n, measure)(task_rng, 997)
+    p = np.abs(haar_pure_batch(batch_rng, n, 997)) ** 2
+    np.testing.assert_allclose(values, _pure_values(p, measure), rtol=0, atol=1e-14)
+    assert np.array_equal(task_rng.uniform(5), batch_rng.uniform(5))
+
+
+@pytest.mark.parametrize("n,count", [(2, 2**20), (3, 2**21 // 3), (1000, 2097)])
+def test_pure_task_is_one_draw_up_to_block_draws(n, count):
+    # chunk x N <= 2^21: one block, the same bytes as drawing the chunk at once
+    task_rng, whole_rng = RngStream(43, n), RngStream(43, n)
+    values = estimators._pure_task(n, "skew")(task_rng, count)
+    assert np.array_equal(values, _unblocked_pure(whole_rng, n, count, "skew"))
+    assert np.array_equal(task_rng.uniform(5), whole_rng.uniform(5))
+
+
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_pure_task_draws_blocks_in_order(monkeypatch, measure):
+    # blocks of 12 states at N = 5: 12 + 12 + 6, each drawn as a whole chunk
+    monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 64)
+    task_rng, loop_rng = RngStream(47, 0), RngStream(47, 0)
+    values = estimators._pure_task(5, measure)(task_rng, 30)
+    expected = np.concatenate([_unblocked_pure(loop_rng, 5, b, measure) for b in (12, 12, 6)])
+    assert np.array_equal(values, expected)
+    assert np.array_equal(task_rng.uniform(5), loop_rng.uniform(5))
 
 
 def test_estimate_tail_impossible_deviation():

@@ -8,10 +8,15 @@ closed form, whose value comes from the series alone; the quadrature only
 gates it). Paths that go through LAPACK (eigh, QR) are pinned by
 thread-count invariance instead, because their last bits may differ between
 BLAS builds.
+
+Bit contract v2: pure-state Monte Carlo takes each state's populations from
+the Exponential(1) radius block alone and skips the phase block. The cases
+marked v2 were recorded under it; the older ones did not move.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from haar_coherence import cli
@@ -33,6 +38,19 @@ def run_cli(capsys, *argv):
 def test_complex_normal_stream_digest(seed, index, n, digest):
     raw = RngStream(seed, index).complex_normal(n).tobytes()
     assert hashlib.sha256(raw).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 29, 2048, 29 * 1023, 29 * 1024])
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_skip_lands_where_the_draw_would(offset, k):
+    # Philox buffers four outputs per counter step: from every buffer offset,
+    # skipping k outputs must leave the stream where drawing them does
+    skipped, drawn = RngStream(23, offset), RngStream(23, offset)
+    skipped.uniform(offset)
+    drawn.uniform(offset)
+    skipped._skip(k)
+    drawn.uniform(k)
+    assert np.array_equal(skipped.uniform(9), drawn.uniform(9))
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -65,6 +83,15 @@ def test_complex_normal_stream_digest(seed, index, n, digest):
      '"im": [0.26788824962296237, -0.36321118672964153, 0.04766469032268107, '
      '0.41711838375174737, -0.10368542835792728, -0.680923084991843, '
      '0.7521823526298156, 0.2536013295098093, 0.5710111671223744]}\n'),
+    # v2
+    (["mc", "--ensemble", "pure", "--dim", "3", "--samples", "20000", "--seed", "1"],
+     "ensemble,N,measure,mean,stderr,samples,seed\n"
+     "pure,3,skew,0.4995464492998569,0.0009187903513793783,20000,1\n"),
+    # v2
+    (["mc", "--ensemble", "pure", "--dim", "29", "--samples", "20000", "--seed", "1",
+      "--measure", "rel-ent"],
+     "ensemble,N,measure,mean,stderr,samples,seed\n"
+     "pure,29,rel-ent,2.9620892878915224,0.0006734778905225037,20000,1\n"),
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected
@@ -88,6 +115,15 @@ def test_series_moment_table_digest(n, q, digest):
 def test_mixed_avg_closed_form_is_golden(capsys, n, value):
     out = run_cli(capsys, "closed-form", "--measure", "mixed-avg", "--dim", str(n))
     assert out == f'{{"measure": "mixed-avg", "N": {n}, "value": {value}}}\n'
+
+
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_pure_mc_bytes_independent_of_threads(capsys, measure):
+    argv = ["mc", "--ensemble", "pure", "--dim", "5", "--samples", "9000",
+            "--seed", "19", "--chunk", "700", "--measure", measure]
+    one = run_cli(capsys, *argv, "--threads", "1")
+    two = run_cli(capsys, *argv, "--threads", "2")
+    assert one == two
 
 
 def test_mixed_mc_bytes_independent_of_threads(capsys):
