@@ -27,9 +27,9 @@ DEFAULT_CHUNK_SIZE = 1024
 _BLOCK_DRAWS = 1 << 21
 
 # Peak bytes of one draw block per complex entry drawn. Measured peaks of one
-# task call (ru_maxrss, 2-16 M entries): 25 B for pure states (populations
-# only), 56 B (rel-ent) to 83 B (skew, eigh) for mixed ones; 96 B covers both
-# with room.
+# full 2^21-entry block (ru_maxrss, N = 2-32): 24 B for pure states
+# (populations only), 40 B (rel-ent) to 53 B (skew, eigh) for mixed ones;
+# 96 B covers both with room.
 _BYTES_PER_ENTRY = 96
 
 # Largest estimated working set of the draw blocks in flight at once; above it

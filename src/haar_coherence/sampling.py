@@ -20,6 +20,10 @@ _MASK64 = (1 << 64) - 1
 # at n = 32. The twirl oracle, the hot caller, runs at n = 2 and 3.
 _GRAM_SCHMIDT_MAX_DIM = 3
 
+# hs_mixed_batch forms its Gram matrices ⌊_GRAM_SLICE_ENTRIES / n⌋ states at
+# a time, so each step's complex temporaries hold about 256·n KiB.
+_GRAM_SLICE_ENTRIES = 16384
+
 
 def _splitmix64(z: int) -> int:
     # Standard splitmix64 finalizer: full avalanche of one 64-bit word.
@@ -52,14 +56,24 @@ class RngStream:
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
         raw = self._bits.random_raw(n)
-        return (raw >> np.uint64(11)) * 2.0 ** -53
+        raw >>= np.uint64(11)
+        # the 53-bit integers convert exactly, so scaling into the same
+        # buffer gives the bits of (raw >> 11) * 2**-53
+        return np.multiply(raw, 2.0 ** -53, out=raw.view(np.float64))
 
     def complex_normal(self, n: int) -> np.ndarray:
         """n iid standard complex normals, E|z|^2 = 1 (Re/Im variance 1/2 each)."""
-        u1 = self.uniform(n)
+        radius = self.uniform(n)
         u2 = self.uniform(n)
-        radius = np.sqrt(-np.log1p(-u1))
-        return radius * np.exp(2j * np.pi * u2)
+        # radius = sqrt(-log1p(-u1)) and z = radius * exp(2j pi u2), step by
+        # step in place: the same operations in the same order
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        np.negative(radius, out=radius)
+        np.sqrt(radius, out=radius)
+        z = np.multiply(2j * np.pi, u2)
+        np.exp(z, out=z)
+        return np.multiply(radius, z, out=z)
 
     def exponential(self, n: int) -> np.ndarray:
         """n iid Exponential(1) variates by inverse transform."""
@@ -138,19 +152,30 @@ def haar_unitary_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return q * (d.conj() / np.abs(d))[:, None, :]
 
 
+def _gram_slice_states(n: int) -> int:
+    """States per slice of the Gram step of hs_mixed_batch: at least one."""
+    return max(1, _GRAM_SLICE_ENTRIES // n)
+
+
 def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     """(count, n, n) array of Hilbert-Schmidt random density matrices.
 
     Gram construction G G† / Tr(G G†) with G an n x n complex Gaussian matrix,
     which is distributed exactly as the partial trace of a Haar bipartite pure
-    state on an n*n product space.
+    state on an n*n product space. The Gram, Hermitian-part and trace steps
+    run slice by slice and overwrite the drawn block, so the temporaries stay
+    small; each matrix sees the same operations as on the whole block.
     """
     _require_dim(n)
     g = rng.complex_normal(count * n * n).reshape(count, n, n)
-    w = g @ np.conj(np.swapaxes(g, 1, 2))
-    w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
-    trace = np.einsum("bii->b", w).real
-    return w / trace[:, None, None]
+    step = _gram_slice_states(n)
+    for start in range(0, count, step):
+        block = g[start:start + step]
+        w = block @ np.conj(np.swapaxes(block, 1, 2))
+        w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
+        trace = np.einsum("bii->b", w).real
+        np.divide(w, trace[:, None, None], out=block)
+    return g
 
 
 def sample_haar_pure(rng: RngStream, n: int) -> np.ndarray:

@@ -7,6 +7,8 @@ sub-seed per check so no two checks share a stream.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from zlib import crc32
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import closed_forms, oracles
 from .coherence import skew_coherence, skew_coherence_pure, skew_information
-from .estimators import _mixed_task, estimate_average
+from .estimators import _mixed_task, _single_threaded_blas, estimate_average
 from .linalg import hermitian_part, partial_trace_b, swap_operator
 from .sampling import (RngStream, _splitmix64, haar_pure_batch,
                        haar_unitary_batch, hs_mixed_batch)
@@ -334,42 +336,76 @@ def check_mean_agreement(seed):
                        not failures, "; ".join(failures) or "all within 4 sigma")
 
 
-def oracle_checks(seed: int):
+def _oracle_jobs(seed: int):
+    # (check, args) pairs, built per call so each check is looked up by its
+    # module-global name when the suite runs
     return [
-        check_quadrature_exactness(),
-        check_orthogonality(),
-        check_moment_routes(),
-        check_moment_values(),
-        check_vandermonde_mc(seed),
-        check_twirl_fixed_points(),
-        check_twirl_mc(seed),
-        check_spectral_average(seed),
+        (check_quadrature_exactness, ()),
+        (check_orthogonality, ()),
+        (check_moment_routes, ()),
+        (check_moment_values, ()),
+        (check_vandermonde_mc, (seed,)),
+        (check_twirl_fixed_points, ()),
+        (check_twirl_mc, (seed,)),
+        (check_spectral_average, (seed,)),
     ]
 
 
-def invariant_checks(seed: int):
-    return [
-        check_range(seed),
-        check_projector_sum(seed),
-        check_pure_mixed_consistency(seed),
-        check_lipschitz_pure(seed),
-        check_lipschitz_bipartite(seed),
-        check_polygamy(seed),
-        check_convexity(seed),
-        check_extremes(seed),
-        check_haar_invariance(seed),
-        check_sampler_consistency(seed),
-        check_mean_agreement(seed),
-    ]
+def _invariant_jobs(seed: int):
+    return [(check, (seed,)) for check in (
+        check_range,
+        check_projector_sum,
+        check_pure_mixed_consistency,
+        check_lipschitz_pure,
+        check_lipschitz_bipartite,
+        check_polygamy,
+        check_convexity,
+        check_extremes,
+        check_haar_invariance,
+        check_sampler_consistency,
+        check_mean_agreement,
+    )]
+
+
+def _fail_closed(check, args) -> CheckResult:
+    """Run one check; a check that rejects its input or finds two routes
+    disagreeing reports FAIL instead of aborting the suite."""
+    try:
+        return check(*args)
+    except (ValueError, closed_forms.PrecisionError) as exc:
+        return CheckResult(check.__name__.removeprefix("check_").replace("_", " "), False,
+                           f"raised {type(exc).__name__}: {exc}")
+
+
+def _workers() -> int:
+    """Pool size of run_suite: two, or one when only one CPU is usable.
+
+    The checks spend most of their time in numpy calls that release the
+    interpreter lock, so two workers nearly halve `verify --suite all` on a
+    2-core host.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
 
 
 def run_suite(suite: str, seed: int):
-    """Run one of the named suites; returns the list of CheckResults."""
+    """Run one of the named suites; returns the list of CheckResults in suite
+    order.
+
+    The checks run concurrently on a small thread pool, with OpenBLAS on one
+    thread. Each check draws only from its own sub-seeded streams, so the
+    results do not depend on the number of workers.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    results = []
+    jobs = []
     if suite in ("oracles", "all"):
-        results.extend(oracle_checks(seed))
+        jobs.extend(_oracle_jobs(seed))
     if suite in ("invariants", "all"):
-        results.extend(invariant_checks(seed))
-    return results
+        jobs.extend(_invariant_jobs(seed))
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=_workers()) as pool:
+        futures = [pool.submit(_fail_closed, check, args) for check, args in jobs]
+        return [future.result() for future in futures]

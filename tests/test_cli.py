@@ -6,9 +6,10 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from haar_coherence import cli, estimators, sampling
+from haar_coherence import cli, estimators, sampling, verification
 from haar_coherence import closed_forms as cf
 
 
@@ -115,6 +116,25 @@ def test_usage_errors_exit_two(capsys):
         cli.main(["verify", "--suite", "everything"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    # one NaN state makes the validated kernels raise inside check_convexity;
+    # the suite still prints every check and exits 1, not 2
+    draw = verification.hs_mixed_batch
+
+    def with_nan_state(rng, n, count):
+        states = draw(rng, n, count)
+        states[count // 2] = np.nan
+        return states
+
+    monkeypatch.setattr(verification, "hs_mixed_batch", with_nan_state)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "invariants")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 12
+    assert lines[-1].endswith("checks passed (suite=invariants, seed=42)")
+    convexity = [line for line in lines if "convexity" in line]
+    assert len(convexity) == 1 and convexity[0].startswith("[FAIL]")
 
 
 def test_mc_csv_output_and_determinism(capsys):

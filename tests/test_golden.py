@@ -40,6 +40,21 @@ def test_complex_normal_stream_digest(seed, index, n, digest):
     assert hashlib.sha256(raw).hexdigest() == digest
 
 
+@pytest.mark.parametrize("method,seed,index,n,digest", [
+    ("uniform", 42, 3, 4096,
+     "4b7e67c99102c8e06ad1f2c4123ea6cf22be4d710305ae5a84f7c8e45ceec54c"),
+    ("uniform", 2**64 - 1, 7, 1000,
+     "d80af28d758fcd6b2776214dcbd3334194bb149a1cfb22d9231c65bb13fbaeb9"),
+    ("exponential", 42, 3, 4096,
+     "b0dc38cd1c5198ed2dfa2987e492b562cc4057da501f704126f8d592d3b7359a"),
+    ("exponential", 2**64 - 1, 7, 1000,
+     "93dda082688297fb55e4c3117a6f6201a8f63cd243e8f4751bd5682e18a53c2f"),
+])
+def test_real_stream_digest(method, seed, index, n, digest):
+    raw = getattr(RngStream(seed, index), method)(n).tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 29, 2048, 29 * 1023, 29 * 1024])
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])
 def test_skip_lands_where_the_draw_would(offset, k):

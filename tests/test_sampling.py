@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
+from haar_coherence import sampling
 from haar_coherence.linalg import partial_trace_b
 from haar_coherence.sampling import (RngStream, haar_pure_batch,
                                      haar_unitary_batch, hs_mixed_batch,
@@ -175,3 +176,14 @@ def test_gram_and_bipartite_routes_agree():
     gram = amplitudes @ np.conj(np.swapaxes(amplitudes, 1, 2))
     gram = (gram + np.conj(np.swapaxes(gram, 1, 2))) / 2
     assert ks_2samp(_coherence_of(direct), _coherence_of(gram)).statistic < 0.02
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_hs_mixed_slices_match_unsliced_formula(n):
+    # three full Gram slices and a short last one, against the whole-block formula
+    count = 3 * sampling._gram_slice_states(n) + 5
+    g = RngStream(31, n).complex_normal(count * n * n).reshape(count, n, n)
+    w = g @ np.conj(np.swapaxes(g, 1, 2))
+    w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
+    expected = w / np.einsum("bii->b", w).real[:, None, None]
+    assert np.array_equal(hs_mixed_batch(RngStream(31, n), n, count), expected)

@@ -106,3 +106,38 @@ def test_invariant_suite_does_not_import_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_suite_results_do_not_depend_on_workers(monkeypatch, seed):
+    def run(workers):
+        monkeypatch.setattr(verification, "_workers", lambda: workers)
+        return [(r.name, r.passed, r.detail) for r in verification.run_suite("invariants", seed)]
+
+    assert run(1) == run(2)
+
+
+def test_spectral_average_on_its_own_matches_the_pooled_suite(suite_all_seed42):
+    alone = verification.check_spectral_average(42)
+    assert alone in suite_all_seed42
+
+
+def test_suite_records_a_raising_check_as_failed(monkeypatch):
+    def check_polygamy(seed):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(verification, "check_polygamy", check_polygamy)
+    results = verification.run_suite("invariants", 42)
+    assert len(results) == 11
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("polygamy", "raised LinAlgError: Eigenvalues did not converge")]
+
+
+def test_suite_propagates_unexpected_errors(monkeypatch):
+    def broken(seed):
+        raise ZeroDivisionError("not a verdict")
+
+    monkeypatch.setattr(verification, "check_extremes", broken)
+    with pytest.raises(ZeroDivisionError):
+        verification.run_suite("invariants", 42)
