@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import _require_dim
+
 # Exponent denominator 9 pi^3 ln 2 of the sphere concentration bound; the
 # pure/mixed tail bounds use 72 pi^3 ln 2 = 8 times this.
 _LEVY_DENOM = 9.0 * math.pi**3 * math.log(2.0)
@@ -140,8 +142,7 @@ def moment_bracket(values: np.ndarray) -> float:
 
 def avg_coherence_pure(n: int) -> float:
     """Average coherence of Haar-random pure states: (n - 1)/(n + 1)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     return (n - 1) / (n + 1)
 
 
@@ -151,8 +152,7 @@ def avg_coherence_mixed(n: int) -> float:
     Evaluates 1 - (2 + bracket/n^2)/(n + 1) from the q = 1/2 moment table over
     degrees 0..n-1, checked against the quadrature oracle first.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     if n == 1:
         return 0.0
     table = validated_half_moment_table(n)
@@ -163,8 +163,7 @@ def vandermonde_sqrt_integral(n: int) -> float:
     """Closed form of the integral of sqrt(mu1 mu2) e^{-sum mu} |Delta(mu)|^2
     over the positive orthant: (n-2)! prod_j Gamma(j)^2 times the moment
     bracket of the q = 1/2 table."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _require_dim(n, 2)
     log_prefactor = math.lgamma(n - 1) + 2.0 * math.fsum(math.lgamma(j) for j in range(1, n + 1))
     return math.exp(log_prefactor) * moment_bracket(validated_half_moment_table(n).values)
 
@@ -172,8 +171,7 @@ def vandermonde_sqrt_integral(n: int) -> float:
 def trace_sqrt_squared_average(n: int) -> float:
     """Spectral average of (Tr sqrt(rho))^2 over the Hilbert-Schmidt ensemble:
     1 + bracket/n^2."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     if n == 1:
         return 1.0
     return 1.0 + moment_bracket(validated_half_moment_table(n).values) / n**2
@@ -181,16 +179,14 @@ def trace_sqrt_squared_average(n: int) -> float:
 
 def max_coherence(n: int) -> float:
     """Largest attainable coherence in dimension n: 1 - 1/n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     return 1.0 - 1.0 / n
 
 
 def pure_average_gap(n: int) -> float:
     """Gap between the maximal and the average pure-state coherence,
     (1 - 1/n) - (n-1)/(n+1), in its cancellation-free form (n-1)/(n(n+1))."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     return (n - 1) / (n * (n + 1))
 
 
@@ -207,8 +203,7 @@ def levy_bound(sphere_dim: int, epsilon: float, lipschitz: float) -> float:
 
 def tail_bound_pure(n: int, epsilon: float) -> float:
     """Pure-state tail bound 2 exp(-n^3 eps^2 / (72 pi^3 ln 2))."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _require_dim(n, 2)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     return 2.0 * math.exp(-(n**3) * epsilon**2 / (8.0 * _LEVY_DENOM))
@@ -217,8 +212,7 @@ def tail_bound_pure(n: int, epsilon: float) -> float:
 def tail_bound_mixed(n: int, epsilon: float) -> float:
     """Mixed-state tail bound 2 exp(-n eps^2 / (72 pi^3 ln 2)): the sphere
     bound on S^{2n-1} with the reduced-state Lipschitz constant."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _require_dim(n, 2)
     return levy_bound(2 * n - 1, epsilon, lipschitz_constant_mixed())
 
 
@@ -229,8 +223,7 @@ def coherent_subspace_dim(n: int, epsilon: float) -> int:
     Only defined for 0 < eps < 1/n. A non-positive numerator clamps to 0,
     since a subspace dimension cannot be negative.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _require_dim(n, 2)
     if not 0.0 < epsilon < 1.0 / n:
         raise ValueError(f"epsilon must lie in (0, 1/{n}), got {epsilon}")
     numerator = n**3 * epsilon**2 - 1.0
@@ -241,8 +234,7 @@ def coherent_subspace_dim(n: int, epsilon: float) -> int:
 
 def lipschitz_constant_pure(n: int) -> float:
     """Lipschitz scale 4/n used by the pure-state concentration bound."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     return 4.0 / n
 
 
@@ -253,14 +245,12 @@ def lipschitz_constant_mixed() -> float:
 
 def avg_cr_pure(n: int) -> float:
     """Average relative entropy of coherence of pure states: H_n - 1."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     return math.fsum(1.0 / k for k in range(1, n + 1)) - 1.0
 
 
 def avg_cr_mixed(n: int) -> float:
     """Average relative entropy of coherence of mixed states: (n - 1)/(2n)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     return (n - 1) / (2 * n)
 

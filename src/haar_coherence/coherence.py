@@ -1,7 +1,6 @@
 """Skew information and coherence measures relative to the computational basis."""
 
 import numpy as np
-from scipy.special import xlogy
 
 from .linalg import _require_hermitian, sqrt_psd
 
@@ -76,6 +75,12 @@ def skew_coherence_pure(psi):
     return _as_coherence(1.0 - _dot(p), psi.shape[-1])
 
 
+def _xlogx(x) -> np.ndarray:
+    """x log x, 0 at x = 0; scipy loads on first use, as only rel-ent needs it."""
+    from scipy.special import xlogy
+    return xlogy(x, x)
+
+
 def relative_entropy_coherence(rho):
     """Relative entropy of coherence S(diag rho) - S(rho), natural log.
 
@@ -87,6 +92,5 @@ def relative_entropy_coherence(rho):
     _require_hermitian(rho, "density matrix")
     spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     populations = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
-    value = np.maximum(xlogy(spectrum, spectrum).sum(axis=-1)
-                       - xlogy(populations, populations).sum(axis=-1), 0.0)
+    value = np.maximum(_xlogx(spectrum).sum(axis=-1) - _xlogx(populations).sum(axis=-1), 0.0)
     return float(value) if value.ndim == 0 else value

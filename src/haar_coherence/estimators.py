@@ -14,10 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import closed_forms
-from .coherence import relative_entropy_coherence
+from .coherence import _xlogx, relative_entropy_coherence
+from .linalg import _require_dim
 from .sampling import RngStream, haar_populations_batch, hs_mixed_batch
 
 DEFAULT_CHUNK_SIZE = 1024
@@ -212,7 +212,7 @@ def _pure_task(n: int, measure: str):
         p = haar_populations_batch(rng, n, count)
         if measure == "skew":
             return 1.0 - (p * p).sum(axis=1)
-        return -xlogy(p, p).sum(axis=1)
+        return -_xlogx(p).sum(axis=1)
 
     def task(rng, count):
         return np.concatenate([values(rng, b) for b in _block_sizes(count, block)])
@@ -272,8 +272,7 @@ def estimate_average(ensemble: str, n: int, samples: int, seed: int,
                      measure: str = "skew", chunk_size: int = DEFAULT_CHUNK_SIZE,
                      threads: int = 1) -> EstimatorResult:
     """Chunked Monte Carlo mean of a coherence measure over a state ensemble."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     task = _coherence_task(ensemble, n, measure)

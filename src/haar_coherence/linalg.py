@@ -27,6 +27,11 @@ class Eigensystem(NamedTuple):
     vectors: np.ndarray  # unitary, eigenvectors in columns
 
 
+def _require_dim(n: int, least: int = 1):
+    if n < least:
+        raise ValueError(f"dimension must be >= {least}, got {n}")
+
+
 def hermitian_part(m) -> np.ndarray:
     """Return (M + M†)/2 for a matrix or an (..., n, n) stack, exactly Hermitian."""
     m = np.asarray(m, dtype=complex)
@@ -177,8 +182,7 @@ def partial_trace_b(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
 
 def swap_operator(n: int) -> np.ndarray:
     """Swap operator F on an n*n tensor product: F|i,j> = |j,i>."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     f = np.zeros((n * n, n * n))
     for i in range(n):
         for j in range(n):

@@ -11,12 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .closed_forms import MomentTable
 from .estimators import (_BLOCK_DRAWS, EstimatorResult, _block_sizes, _finish,
                          _fold_stats, stats_of)
-from .linalg import hermitian_eigvalsh, swap_operator
+from .linalg import _require_dim, hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 # Unitaries per haar_unitary_batch call of the twirl MC. Block boundaries fix
@@ -60,6 +59,15 @@ def _renormalize(prev: np.ndarray, cur: np.ndarray, s: np.ndarray):
     return prev, cur, s
 
 
+def _laguerre_nodes(alpha: float, n_nodes: int) -> np.ndarray:
+    """Eigenvalues of the generalized Laguerre Jacobi matrix. LAPACK's dsyevd
+    reduces this already tridiagonal matrix by zero reflectors, so its dsterf gets
+    the diagonals scipy.linalg.eigh_tridiagonal passes: the same nodes, bit for bit."""
+    i = np.arange(n_nodes, dtype=float)
+    return np.linalg.eigvalsh(np.diag(2 * i + alpha + 1)
+                              + np.diag(np.sqrt(i[1:] * (i[1:] + alpha)), -1))
+
+
 def _scaled_rule(alpha: float, n_nodes: int):
     """Nodes plus weights premultiplied by e^{x} (the Christoffel function of
     the e^{-x/2}-scaled orthonormal polynomials).
@@ -68,9 +76,7 @@ def _scaled_rule(alpha: float, n_nodes: int):
     the largest nodes of a 100+ point rule are ~1e-220 and their eigenvector
     components underflow when squared.
     """
-    i = np.arange(n_nodes, dtype=float)
-    nodes = eigh_tridiagonal(2 * i + alpha + 1, np.sqrt(i[1:] * (i[1:] + alpha)),
-                             eigvals_only=True)
+    nodes = _laguerre_nodes(alpha, n_nodes)
     mu0 = math.exp(math.lgamma(alpha + 1.0))
     cur, s = _half_exp(nodes)
     cur = cur / math.sqrt(mu0)
@@ -160,8 +166,7 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> Estima
     Vandermonde factor is heavy-tailed under exponential sampling and the
     estimator variance explodes beyond that.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _require_dim(n, 2)
     if n > _VANDERMONDE_MAX_DIM:
         raise ValueError(
             f"Monte Carlo route is limited to dimension <= {_VANDERMONDE_MAX_DIM}, got {n}")
@@ -224,8 +229,7 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
 
 def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
     """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_dim(n)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
 

@@ -9,7 +9,7 @@ worker count.
 
 import numpy as np
 
-from .linalg import hermitian_part
+from .linalg import _require_dim, hermitian_part
 
 _MASK64 = (1 << 64) - 1
 
@@ -23,6 +23,8 @@ _GRAM_SCHMIDT_MAX_DIM = 3
 # hs_mixed_batch forms its Gram matrices ⌊_GRAM_SLICE_ENTRIES / n⌋ states at
 # a time, so each step's complex temporaries hold about 256·n KiB.
 _GRAM_SLICE_ENTRIES = 16384
+
+_UNIFORM_SLICE = 65536  # draws per scaling step of RngStream.uniform (512 KiB)
 
 
 def _splitmix64(z: int) -> int:
@@ -57,27 +59,29 @@ class RngStream:
         """n doubles uniform on [0, 1)."""
         raw = self._bits.random_raw(n)
         raw >>= np.uint64(11)
-        # the 53-bit integers convert exactly, so scaling into the same
-        # buffer gives the bits of (raw >> 11) * 2**-53
-        return np.multiply(raw, 2.0 ** -53, out=raw.view(np.float64))
+        out = raw.view(np.float64)
+        # the 53-bit integers convert exactly, so scaling into the same buffer
+        # gives the bits of (raw >> 11) * 2**-53; numpy copies an input that
+        # overlaps its output first, so slices keep that copy to one slice
+        for s in range(0, n, _UNIFORM_SLICE):
+            np.multiply(raw[s:s + _UNIFORM_SLICE], 2.0 ** -53, out=out[s:s + _UNIFORM_SLICE])
+        return out
 
     def complex_normal(self, n: int) -> np.ndarray:
         """n iid standard complex normals, E|z|^2 = 1 (Re/Im variance 1/2 each)."""
-        radius = self.uniform(n)
-        u2 = self.uniform(n)
         # radius = sqrt(-log1p(-u1)) and z = radius * exp(2j pi u2), step by
         # step in place: the same operations in the same order
-        np.negative(radius, out=radius)
-        np.log1p(radius, out=radius)
-        np.negative(radius, out=radius)
+        radius = self.exponential(n)
         np.sqrt(radius, out=radius)
-        z = np.multiply(2j * np.pi, u2)
+        z = np.multiply(2j * np.pi, self.uniform(n))
         np.exp(z, out=z)
         return np.multiply(radius, z, out=z)
 
     def exponential(self, n: int) -> np.ndarray:
-        """n iid Exponential(1) variates by inverse transform."""
-        return -np.log1p(-self.uniform(n))
+        """n iid Exponential(1) variates by inverse transform, -log1p(-u), in place."""
+        u = self.uniform(n)
+        np.log1p(np.negative(u, out=u), out=u)
+        return np.negative(u, out=u)
 
     def _skip(self, n: int) -> None:
         """Leave the stream where uniform(n) would, without drawing it.
@@ -93,11 +97,6 @@ class RngStream:
         rest = n - buffered
         self._bits.advance(rest // 4)
         self._bits.random_raw(rest % 4)
-
-
-def _require_dim(n):
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
 
 
 def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:

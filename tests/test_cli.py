@@ -26,21 +26,86 @@ def test_closed_form_pure_avg(capsys):
     assert record == {"measure": "pure-avg", "N": 3, "value": 0.5}
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 @pytest.mark.parametrize("dim, code", [("2", 0), ("0", 2)])
 def test_module_entry_point_runs_and_fails_closed(dim, code):
     # `python -m haar_coherence.cli` must run the command, not import and exit 0
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-m", "haar_coherence.cli", "closed-form",
                            "--measure", "pure-avg", "--dim", dim],
-                          env=env, capture_output=True, text=True)
+                          env=fresh_env(), capture_output=True, text=True)
     assert proc.returncode == code
     if code == 0:
         assert json.loads(proc.stdout) == {"measure": "pure-avg", "N": 2,
                                            "value": 1.0 / 3.0}
     else:
         assert proc.stdout == "" and "positive integer" in proc.stderr
+
+
+# Runs CLI commands one after the other in a fresh interpreter. Prints one JSON
+# line after the import and one per command: exit code, stdout and the scipy
+# modules loaded so far.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from haar_coherence import cli
+
+def report(**fields):
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps(dict(fields, scipy=scipy)), file=sys.__stdout__)
+
+report(argv=None)
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report(argv=argv, code=code, stdout=out.getvalue())
+"""
+
+
+def run_scipy_probe(commands):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
+                          env=fresh_env(), capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_skew_closed_form_and_verify_commands_never_import_scipy(tmp_path):
+    commands = [
+        ["mc", "--ensemble", "pure", "--dim", "5", "--samples", "3000"],
+        ["mc", "--ensemble", "mixed", "--dim", "3", "--samples", "3000", "--threads", "2"],
+        ["tail", "--ensemble", "pure", "--dim", "8", "--epsilon", "0.1", "--samples", "3000"],
+        ["tail", "--ensemble", "mixed", "--dim", "3", "--epsilon", "0.1", "--samples", "3000"],
+        ["figure1", "--max-exp", "2", "--samples", "3000", "--out", str(tmp_path / "f.csv"),
+         "--svg", str(tmp_path / "f.svg")],
+        *(["closed-form", "--measure", m, "--dim", "8"]
+          for m in cli._CLOSED_FORM_MEASURES if m != "subspace-dim"),
+        ["closed-form", "--measure", "subspace-dim", "--dim", "64", "--epsilon", "0.01"],
+        ["verify", "--suite", "all"],
+    ]
+    steps = run_scipy_probe(commands)
+    assert [step["argv"] for step in steps] == [None] + commands
+    assert [step.get("code", 0) for step in steps] == [0] * len(steps)
+    assert [step["argv"] for step in steps if step["scipy"]] == []
+
+
+def test_rel_ent_imports_scipy_on_first_use_and_keeps_its_bytes(capsys):
+    pure = ["mc", "--ensemble", "pure", "--dim", "29", "--samples", "20000", "--seed", "1",
+            "--measure", "rel-ent"]
+    mixed = ["mc", "--ensemble", "mixed", "--dim", "4", "--samples", "3000", "--seed", "2",
+             "--measure", "rel-ent", "--format", "json"]
+    imported, first, second = run_scipy_probe([pure, mixed])
+    assert imported["scipy"] == []
+    assert "scipy.special" in first["scipy"]
+    # the pure value is also pinned in test_golden.py
+    assert first["stdout"] == ("ensemble,N,measure,mean,stderr,samples,seed\n"
+                               "pure,29,rel-ent,2.9620892878915224,0.0006734778905225037,"
+                               "20000,1\n")
+    assert second["code"] == 0
+    assert second["stdout"] == run_cli(capsys, *mixed)[1]
 
 
 def test_closed_form_mixed_avg(capsys):

@@ -247,6 +247,17 @@ def test_estimate_tail_counts_deviations():
     assert tail.n_samples == 2000
 
 
+def test_estimate_tail_mixed_states():
+    tail = estimate_tail("mixed", 3, 0.05, 3000, seed=3, chunk_size=700)
+    assert tail.center == cf.avg_coherence_mixed(3)
+    assert tail.bound == cf.tail_bound_mixed(3, 0.05)
+    assert tail.n_samples == 3000
+    # the spread of C at N = 3 is a few times 0.05, so both outcomes occur
+    assert 0.0 < tail.frequency < 1.0
+    two = estimate_tail("mixed", 3, 0.05, 3000, seed=3, chunk_size=700, threads=2)
+    assert two == tail
+
+
 def test_figure1_sweep_rows():
     rows = figure1_sweep(3, 4000, seed=5)
     assert [row.n for row in rows] == [2, 4, 8]

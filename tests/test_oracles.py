@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre
 
 from haar_coherence import closed_forms as cf
 from haar_coherence import oracles
-from haar_coherence.estimators import _finish, merge_stats, stats_of
+from haar_coherence.estimators import (_finish, _single_threaded_blas, merge_stats,
+                                       stats_of)
 from haar_coherence.linalg import hermitian_eigvalsh
 from haar_coherence.linalg import hermitian_part, swap_operator
 from haar_coherence.sampling import RngStream, haar_unitary_batch, hs_mixed_batch
@@ -50,6 +52,32 @@ def test_rule_matches_scipy():
         nodes, weights = roots_genlaguerre(n_nodes, alpha)
         assert np.abs(rule.nodes - np.sort(nodes)).max() < 1e-10
         assert np.abs((rule.weights - weights) / weights).max() < 1e-10
+
+
+def scipy_nodes(alpha, n_nodes):
+    i = np.arange(n_nodes, dtype=float)
+    return eigh_tridiagonal(2 * i + alpha + 1, np.sqrt(i[1:] * (i[1:] + alpha)),
+                            eigvals_only=True)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3, -0.4, 2.0, 1.0, -0.5])
+def test_nodes_equal_scipy_tridiagonal_nodes_bit_for_bit(alpha):
+    # dense eigvalsh on one BLAS thread: ~10x faster on the small matrices
+    with _single_threaded_blas():
+        for n in [*range(1, 300), 381, 400, 512, 700, 1024, 1026]:
+            assert np.array_equal(oracles._laguerre_nodes(alpha, n), scipy_nodes(alpha, n)), n
+    # the rule itself takes those nodes: 258 of them serve closed-form at N = 256
+    assert np.array_equal(oracles.gauss_laguerre_rule(alpha, 258).nodes, scipy_nodes(alpha, 258))
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.4])
+def test_nodes_do_not_depend_on_blas_threads(alpha):
+    sizes = (2, 31, 33, 64, 130, 258, 400, 1026)
+    free = [oracles._laguerre_nodes(alpha, n) for n in sizes]
+    with _single_threaded_blas():
+        pinned = [oracles._laguerre_nodes(alpha, n) for n in sizes]
+    for n, a, b in zip(sizes, free, pinned):
+        assert np.array_equal(a, b), n
 
 
 def test_rule_rejects_bad_arguments():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,22 @@ def test_streams_differ_across_indices_and_seeds():
     base = RngStream(1, 0).uniform(32)
     assert not np.array_equal(base, RngStream(1, 1).uniform(32))
     assert not np.array_equal(base, RngStream(2, 0).uniform(32))
+
+
+@pytest.mark.parametrize("method", ["uniform", "exponential"])
+def test_real_draws_hold_one_buffer_plus_one_slice(method):
+    # numpy copies an input that overlaps its output; scaling slice by slice
+    # keeps that copy to one slice instead of the whole draw. The slack covers
+    # the ufunc's own 64 KiB casting buffer.
+    n = 10**6
+    rng = RngStream(3, 1)
+    tracemalloc.start()
+    try:
+        getattr(rng, method)(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 8 * sampling._UNIFORM_SLICE + 2**17
 
 
 def test_uniform_range():
