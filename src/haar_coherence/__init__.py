@@ -19,8 +19,8 @@ from .coherence import (relative_entropy_coherence, skew_coherence,
 from .estimators import (EstimatorResult, SweepRow, TailEstimate,
                          estimate_average, estimate_tail, figure1_sweep,
                          run_chunked)
-from .linalg import (Eigensystem, check_density_matrix, eig_hermitian,
-                     hermitian_part, partial_trace_b, sqrt_psd, swap_operator)
+from .linalg import (Eigensystem, eig_hermitian, hermitian_part,
+                     partial_trace_b, sqrt_psd, swap_operator)
 from .oracles import (QuadratureRule, gauss_laguerre_rule,
                       laguerre_moment_quadrature, quadrature_moment_table,
                       trace_sqrt_squared_mc, twofold_twirl, twofold_twirl_mc,
@@ -34,7 +34,7 @@ __all__ = [
     "EstimatorResult", "Eigensystem", "MomentTable", "PrecisionError",
     "QuadratureRule", "RngStream", "SweepRow", "TailEstimate",
     "avg_coherence_mixed", "avg_coherence_pure", "avg_cr_mixed", "avg_cr_pure",
-    "check_density_matrix", "coherent_subspace_dim", "eig_hermitian",
+    "coherent_subspace_dim", "eig_hermitian",
     "estimate_average", "estimate_tail", "figure1_sweep", "gauss_laguerre_rule",
     "hermitian_part", "laguerre_moment", "laguerre_moment_quadrature",
     "levy_bound", "lipschitz_constant_mixed", "lipschitz_constant_pure",

@@ -19,8 +19,9 @@ import numpy as np
 
 from .linalg import _require_dim
 
-# Exponent denominator 9 pi^3 ln 2 of the sphere concentration bound; the
-# pure/mixed tail bounds use 72 pi^3 ln 2 = 8 times this.
+# Exponent denominator 9 pi^3 ln 2 of the sphere concentration bound. On
+# S^{2n-1} with the Lipschitz constants 4/n (pure) and 4 (mixed) it gives the
+# tail bounds' exponents n^3 eps^2 and n eps^2 over 72 pi^3 ln 2.
 _LEVY_DENOM = 9.0 * math.pi**3 * math.log(2.0)
 
 # Maximum tolerated series-vs-quadrature disagreement per table entry.
@@ -202,11 +203,10 @@ def levy_bound(sphere_dim: int, epsilon: float, lipschitz: float) -> float:
 
 
 def tail_bound_pure(n: int, epsilon: float) -> float:
-    """Pure-state tail bound 2 exp(-n^3 eps^2 / (72 pi^3 ln 2))."""
+    """Pure-state tail bound 2 exp(-n^3 eps^2 / (72 pi^3 ln 2)): the sphere
+    bound on S^{2n-1} with the pure-state Lipschitz constant 4/n."""
     _require_dim(n, 2)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return 2.0 * math.exp(-(n**3) * epsilon**2 / (8.0 * _LEVY_DENOM))
+    return levy_bound(2 * n - 1, epsilon, lipschitz_constant_pure(n))
 
 
 def tail_bound_mixed(n: int, epsilon: float) -> float:

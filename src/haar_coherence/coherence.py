@@ -2,38 +2,49 @@
 
 import numpy as np
 
-from .linalg import _require_hermitian, sqrt_psd
+from .linalg import _psd_root_spectrum, _require_hermitian, sqrt_psd
 
 # Round-off slack on the admissible coherence range [0, 1 - 1/N].
 _RANGE_SLACK = 1e-10
-_DIAG_IMAG_TOL = 1e-12
 
 
-def _dot(x) -> np.ndarray:
-    # x @ x along the last axis; a stack runs the same BLAS dot per member
-    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+def _skew(d):
+    """1 - sum_k d_k^2 over the last axis: the coherence of a state whose
+    sqrt(rho) has the diagonal d (for a pure state, its populations).
 
-
-def _as_coherence(value: np.ndarray, dim: int):
+    Raises ValueError if a value, NaN included, lies outside [0, 1 - 1/N]
+    beyond round-off; values just below 0 are clamped to 0.
+    """
+    value = 1.0 - (d * d).sum(axis=-1)
+    dim = d.shape[-1]
     upper = 1.0 - 1.0 / dim
-    outside = ~((value >= -_RANGE_SLACK) & (value <= upper + _RANGE_SLACK))
-    if outside.any():
+    # min and max are NaN when any value is, so NaN fails the range test
+    low, high = value.min(initial=0.0), value.max(initial=0.0)
+    if not (low >= -_RANGE_SLACK and high <= upper + _RANGE_SLACK):
+        outside = ~((value >= -_RANGE_SLACK) & (value <= upper + _RANGE_SLACK))
         raise ValueError(
             f"coherence {float(value[outside][0])!r} outside [0, {upper}] for dimension {dim}")
-    value = np.maximum(value, 0.0)
+    if low < 0:
+        value = np.maximum(value, 0.0)
     return float(value) if value.ndim == 0 else value
 
 
-def sqrt_diagonal(rho) -> np.ndarray:
-    """Diagonal <k|sqrt(rho)|k> as a real vector, or (..., n) for a stack.
+def _shannon(x):
+    """Shannon entropy -sum_k x_k log x_k over the last axis, natural log, with
+    0 log 0 = 0. scipy loads on first use, as only rel-ent needs it. Raises
+    ValueError on a NaN entry."""
+    from scipy.special import xlogy
+    value = -xlogy(x, x).sum(axis=-1)
+    if np.isnan(value).any():
+        raise ValueError("entropy of a probability vector with a NaN entry")
+    return value
 
-    The imaginary parts must vanish (below 1e-12); they are checked rather
-    than silently dropped.
-    """
-    diag = np.diagonal(sqrt_psd(rho), axis1=-2, axis2=-1)
-    if diag.size and not np.abs(diag.imag).max() < _DIAG_IMAG_TOL:
-        raise ValueError("sqrt(rho) diagonal has a non-negligible imaginary part")
-    return diag.real.copy()
+
+def sqrt_diagonal(rho) -> np.ndarray:
+    """Diagonal <k|sqrt(rho)|k> = sum_a |v_ka|^2 sqrt(w_a) as a real vector,
+    or (..., n) for a stack, from the eigenpairs (w_a, v_a) of rho."""
+    root, vectors = _psd_root_spectrum(rho)
+    return np.einsum("...ka,...a->...k", np.abs(vectors) ** 2, root)
 
 
 def skew_information(rho, k):
@@ -62,8 +73,7 @@ def skew_coherence(rho):
     in [0, 1 - 1/N], with the maximum attained by uniform-amplitude states.
     An (..., N, N) stack gives an array and raises if any member is invalid.
     """
-    diag = sqrt_diagonal(rho)
-    return _as_coherence(1.0 - _dot(diag), diag.shape[-1])
+    return _skew(sqrt_diagonal(rho))
 
 
 def skew_coherence_pure(psi):
@@ -72,13 +82,7 @@ def skew_coherence_pure(psi):
     p = np.abs(psi) ** 2
     if not (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all():
         raise ValueError("state vector is not normalized")
-    return _as_coherence(1.0 - _dot(p), psi.shape[-1])
-
-
-def _xlogx(x) -> np.ndarray:
-    """x log x, 0 at x = 0; scipy loads on first use, as only rel-ent needs it."""
-    from scipy.special import xlogy
-    return xlogy(x, x)
+    return _skew(p)
 
 
 def relative_entropy_coherence(rho):
@@ -92,5 +96,5 @@ def relative_entropy_coherence(rho):
     _require_hermitian(rho, "density matrix")
     spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     populations = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
-    value = np.maximum(_xlogx(spectrum).sum(axis=-1) - _xlogx(populations).sum(axis=-1), 0.0)
+    value = np.maximum(_shannon(populations) - _shannon(spectrum), 0.0)
     return float(value) if value.ndim == 0 else value

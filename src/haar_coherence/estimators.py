@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms
-from .coherence import _xlogx, relative_entropy_coherence
+from .coherence import (_shannon, _skew, relative_entropy_coherence,
+                        skew_coherence)
 from .linalg import _require_dim
 from .sampling import RngStream, haar_populations_batch, hs_mixed_batch
 
@@ -205,54 +206,38 @@ def _block_states(entries: int) -> int:
     return max(1, _BLOCK_DRAWS // entries)
 
 
-def _pure_task(n: int, measure: str):
-    block = _block_states(n)
-
-    def values(rng, count):
-        p = haar_populations_batch(rng, n, count)
-        if measure == "skew":
-            return 1.0 - (p * p).sum(axis=1)
-        return -_xlogx(p).sum(axis=1)
-
-    def task(rng, count):
-        return np.concatenate([values(rng, b) for b in _block_sizes(count, block)])
-
-    return task
-
-
-def _skew_values(rho):
-    w, v = np.linalg.eigh(rho)
-    root = np.sqrt(np.clip(w, 0.0, None))
-    diag = np.einsum("bka,ba->bk", np.abs(v) ** 2, root)
-    return 1.0 - (diag * diag).sum(axis=1)
-
-
-def _mixed_task(n: int, measure: str):
-    block = _block_states(n * n)
-    values = _skew_values if measure == "skew" else relative_entropy_coherence
-
-    def task(rng, count):
-        return np.concatenate([values(hs_mixed_batch(rng, n, b))
-                               for b in _block_sizes(count, block)])
-
-    return task
-
-
 def _coherence_task(ensemble: str, n: int, measure: str):
+    """task(rng, count) -> the measure on `count` states of the ensemble.
+
+    Each ensemble pairs a batched sampler with the coherence kernels of what
+    it draws: Haar populations with the pure-state formulas, Hilbert-Schmidt
+    density matrices with skew_coherence and relative_entropy_coherence. The
+    states are drawn in blocks of at most _BLOCK_DRAWS entries; a kernel
+    raises on an invalid state.
+    """
     if measure not in _MEASURES:
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
     if ensemble == "pure":
-        return _pure_task(n, measure)
-    if ensemble == "mixed":
-        return _mixed_task(n, measure)
-    raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
+        sample, entries = haar_populations_batch, n
+        kernel = _skew if measure == "skew" else _shannon
+    elif ensemble == "mixed":
+        sample, entries = hs_mixed_batch, n * n
+        kernel = skew_coherence if measure == "skew" else relative_entropy_coherence
+    else:
+        raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
+    block = _block_states(entries)
+
+    def task(rng, count):
+        return np.concatenate([kernel(sample(rng, n, b)) for b in _block_sizes(count, block)])
+
+    return task
 
 
 def _check_block_memory(ensemble: str, n: int, samples: int, chunk_size: int,
                         threads: int):
     """Refuse, before anything is drawn, runs whose draw blocks exceed MAX_BLOCK_BYTES.
 
-    Both tasks draw in blocks of at least one state; up to `threads` chunks
+    Both ensembles draw in blocks of at least one state; up to `threads` chunks
     are in flight together.
     """
     count = min(chunk_size, samples)

@@ -145,22 +145,32 @@ def hermitian_eigvalsh(m) -> np.ndarray:
     return values.reshape(m.shape[:-1])
 
 
-def sqrt_psd(rho) -> np.ndarray:
-    """Hermitian PSD square root of a PSD matrix via eigendecomposition.
+def _psd_root_spectrum(rho):
+    """Roots of the clamped eigenvalues of a PSD matrix or (..., n, n) stack,
+    with the eigenvectors: sqrt(rho) = V diag(root) V†.
 
     Eigenvalues in [-EIG_CLAMP, 0) and eigenvalues below REL_CLAMP times the
     largest one are clamped to zero before taking roots. Raises ValueError if
-    an eigenvalue lies below -EIG_CLAMP. An (..., n, n) stack gives each
-    member's single-matrix result and raises if any member is not PSD.
+    an eigenvalue lies below -EIG_CLAMP or is NaN, for any member of a stack.
     """
     values, vectors = eig_hermitian(rho)
     smallest = values[..., 0].min()
-    if smallest < -EIG_CLAMP:
+    if not smallest >= -EIG_CLAMP:
         raise ValueError(
             f"matrix is not PSD: smallest eigenvalue {smallest:.3e} is below {-EIG_CLAMP:.0e}")
     values = np.clip(values, 0.0, None)
     values[values < REL_CLAMP * values[..., -1:]] = 0.0
-    root = np.sqrt(values)
+    return np.sqrt(values), vectors
+
+
+def sqrt_psd(rho) -> np.ndarray:
+    """Hermitian PSD square root of a PSD matrix via eigendecomposition.
+
+    The eigenvalues are clamped and checked as in _psd_root_spectrum. An
+    (..., n, n) stack gives each member's single-matrix result and raises if
+    any member is not PSD.
+    """
+    root, vectors = _psd_root_spectrum(rho)
     return hermitian_part((vectors * root[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2))
 
 
@@ -188,18 +198,3 @@ def swap_operator(n: int) -> np.ndarray:
         for j in range(n):
             f[i * n + j, j * n + i] = 1.0
     return f
-
-
-def check_density_matrix(rho, trace_tol: float = 1e-12) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of one matrix; return it."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2:
-        raise ValueError(f"density matrix must be a single n x n matrix, got shape {rho.shape}")
-    _require_hermitian(rho, "density matrix")
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > trace_tol * max(1.0, abs(trace)):
-        raise ValueError(f"density matrix trace {trace!r} is not 1 within {trace_tol:g}")
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < -EIG_CLAMP:
-        raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below {-EIG_CLAMP:.0e}")
-    return rho

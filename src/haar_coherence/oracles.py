@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import MomentTable
-from .estimators import (_BLOCK_DRAWS, EstimatorResult, _block_sizes, _finish,
+from .estimators import (EstimatorResult, _block_sizes, _block_states, _finish,
                          _fold_stats, stats_of)
 from .linalg import _require_dim, hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
@@ -152,8 +152,8 @@ def quadrature_moment_table(n: int, q: float) -> MomentTable:
 
 
 def _blocked_mean(values, samples: int, entries: int, rng: RngStream) -> EstimatorResult:
-    """Mean of values(b) over blocks of about _BLOCK_DRAWS / entries samples each."""
-    blocks = _block_sizes(samples, max(1, _BLOCK_DRAWS // entries))
+    """Mean of values(b) over the draw blocks of samples taking `entries` draws each."""
+    blocks = _block_sizes(samples, _block_states(entries))
     return _finish(_fold_stats(stats_of(values(b)) for b in blocks), rng.master_seed, samples)
 
 

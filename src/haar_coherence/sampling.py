@@ -9,7 +9,7 @@ worker count.
 
 import numpy as np
 
-from .linalg import _require_dim, hermitian_part
+from .linalg import _require_dim
 
 _MASK64 = (1 << 64) - 1
 
@@ -163,7 +163,10 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     which is distributed exactly as the partial trace of a Haar bipartite pure
     state on an n*n product space. The Gram, Hermitian-part and trace steps
     run slice by slice and overwrite the drawn block, so the temporaries stay
-    small; each matrix sees the same operations as on the whole block.
+    small; each matrix sees the same operations as on the whole block. Each
+    matrix is exactly Hermitian, as the coherence kernels require: the
+    Hermitian part is divided by a real trace, so hermitian_part returns it
+    unchanged bit for bit.
     """
     _require_dim(n)
     g = rng.complex_normal(count * n * n).reshape(count, n, n)
@@ -189,4 +192,4 @@ def sample_haar_unitary(rng: RngStream, n: int) -> np.ndarray:
 
 def sample_hs_mixed(rng: RngStream, n: int) -> np.ndarray:
     """One Hilbert-Schmidt random density matrix of dimension n."""
-    return hermitian_part(hs_mixed_batch(rng, n, 1)[0])
+    return hs_mixed_batch(rng, n, 1)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import closed_forms, oracles
 from .coherence import skew_coherence, skew_coherence_pure, skew_information
-from .estimators import _mixed_task, _single_threaded_blas, estimate_average
+from .estimators import _coherence_task, _single_threaded_blas, estimate_average
 from .linalg import hermitian_part, partial_trace_b, swap_operator
 from .sampling import (RngStream, _splitmix64, haar_pure_batch,
                        haar_unitary_batch, hs_mixed_batch)
@@ -184,7 +184,7 @@ def check_spectral_average(seed):
 def check_range(seed):
     worst_low, worst_high = 0.0, 0.0
     for n in _DIMS:
-        values = _mixed_task(n, "skew")(_stream(seed, f"range-{n}"), 10**4)
+        values = _coherence_task("mixed", n, "skew")(_stream(seed, f"range-{n}"), 10**4)
         worst_low = -_worst(-worst_low, -values)  # min(x) = -max(-x)
         worst_high = _worst(worst_high, values - (1 - 1 / n))
     ok = worst_low >= -1e-10 and worst_high <= 1e-10
@@ -195,7 +195,7 @@ def check_range(seed):
 def check_projector_sum(seed):
     worst = 0.0
     for n in _DIMS:
-        rho = hermitian_part(hs_mixed_batch(_stream(seed, f"projsum-{n}"), n, 1000))
+        rho = hs_mixed_batch(_stream(seed, f"projsum-{n}"), n, 1000)
         # basis projectors stacked (n, 1, n, n) to broadcast against every state
         projectors = _outer(np.eye(n, dtype=complex))[:, None]
         total = skew_information(rho, projectors).sum(axis=0)
@@ -265,8 +265,8 @@ def check_convexity(seed):
         rng = _stream(seed, f"convex-{n}")
         rho = hs_mixed_batch(rng, n, 1000)
         sigma = hs_mixed_batch(rng, n, 1000)
-        c_rho = skew_coherence(hermitian_part(rho))
-        c_sigma = skew_coherence(hermitian_part(sigma))
+        c_rho = skew_coherence(rho)
+        c_sigma = skew_coherence(sigma)
         for p in (0.25, 0.5, 0.75):
             mix = skew_coherence(hermitian_part(p * rho + (1 - p) * sigma))
             worst = _worst(worst, mix - p * c_rho - (1 - p) * c_sigma)
@@ -294,8 +294,8 @@ def check_haar_invariance(seed):
         rotation = haar_unitary_batch(_stream(seed, f"haarinv-rot-{n}"), n, 1)[0]
         plain = haar_pure_batch(_stream(seed, f"haarinv-a-{n}"), n, 10**4)
         rotated = haar_pure_batch(_stream(seed, f"haarinv-b-{n}"), n, 10**4) @ rotation.T
-        values_plain = 1 - (np.abs(plain) ** 4).sum(axis=1)
-        values_rot = 1 - (np.abs(rotated) ** 4).sum(axis=1)
+        values_plain = skew_coherence_pure(plain)
+        values_rot = skew_coherence_pure(rotated)
         gap = abs(values_plain.mean() - values_rot.mean())
         combined = math.hypot(values_plain.std(ddof=1), values_rot.std(ddof=1)) / 100.0
         if not gap <= 4 * combined:
@@ -307,7 +307,7 @@ def check_haar_invariance(seed):
 def check_sampler_consistency(seed):
     worst_ks, worst_route = 0.0, 0.0
     for n in (2, 3):
-        direct = _mixed_task(n, "skew")(_stream(seed, f"cons-direct-{n}"), 10**4)
+        direct = _coherence_task("mixed", n, "skew")(_stream(seed, f"cons-direct-{n}"), 10**4)
         psi = haar_pure_batch(_stream(seed, f"cons-bipartite-{n}"), n * n, 10**4)
         amp = psi.reshape(-1, n, n)
         gram = hermitian_part(amp @ np.conj(np.swapaxes(amp, 1, 2)))

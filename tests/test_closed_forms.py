@@ -99,8 +99,7 @@ def test_tail_bound_pure_is_levy_bound_specialized():
     # k = 2N - 1 and eta = 4/N collapse to the pure-state bound
     for n in (2, 7, 40):
         for eps in (0.05, 0.3):
-            assert cf.levy_bound(2 * n - 1, eps, 4.0 / n) == pytest.approx(
-                cf.tail_bound_pure(n, eps), rel=1e-12)
+            assert cf.levy_bound(2 * n - 1, eps, 4.0 / n) == cf.tail_bound_pure(n, eps)
 
 
 def test_tail_bound_mixed_values():

@@ -6,7 +6,7 @@ import pytest
 from haar_coherence.coherence import (relative_entropy_coherence,
                                       skew_coherence, skew_coherence_pure,
                                       skew_information, sqrt_diagonal)
-from haar_coherence.linalg import hermitian_part, partial_trace_b
+from haar_coherence.linalg import hermitian_part, partial_trace_b, sqrt_psd
 from haar_coherence.sampling import RngStream, haar_pure_batch, hs_mixed_batch
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -148,6 +148,8 @@ def test_convexity_spot_checks():
 def test_stack_coherence_equals_per_state_loop(n):
     rho = hermitian_part(hs_mixed_batch(RngStream(501, n), n, 20))
     assert np.array_equal(sqrt_diagonal(rho), np.stack([sqrt_diagonal(r) for r in rho]))
+    rebuilt = np.diagonal(sqrt_psd(rho), axis1=1, axis2=2).real
+    np.testing.assert_allclose(sqrt_diagonal(rho), rebuilt, rtol=0, atol=1e-15)
     assert np.array_equal(skew_coherence(rho), [skew_coherence(r) for r in rho])
     k = projector(n - 1, n)
     assert np.array_equal(skew_information(rho, k), [skew_information(r, k) for r in rho])

@@ -6,10 +6,10 @@ import pytest
 from scipy.special import xlogy
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import estimators
+from haar_coherence import cli, estimators
 from haar_coherence.coherence import (relative_entropy_coherence,
                                       skew_coherence)
-from haar_coherence.estimators import (_mixed_task, estimate_average,
+from haar_coherence.estimators import (_coherence_task, estimate_average,
                                        estimate_tail, figure1_sweep,
                                        run_chunked)
 from haar_coherence.sampling import RngStream, haar_pure_batch, hs_mixed_batch
@@ -144,8 +144,8 @@ def test_mixed_task_matches_public_measures():
     # the batched estimator path must reproduce the per-state functions
     for n in (2, 3, 5):
         states = hs_mixed_batch(RngStream(301, n), n, 40)
-        skew_batch = _mixed_task(n, "skew")
-        rel_batch = _mixed_task(n, "rel-ent")
+        skew_batch = _coherence_task("mixed", n, "skew")
+        rel_batch = _coherence_task("mixed", n, "rel-ent")
         # replay the same stream so the tasks see identical states
         skew_values = skew_batch(RngStream(301, n), 40)
         rel_values = rel_batch(RngStream(301, n), 40)
@@ -207,7 +207,7 @@ def test_pure_task_matches_haar_pure_batch(n, measure):
     # populations from the radius block alone: the states' |psi_k|^2 up to
     # round-off, and the stream left where haar_pure_batch leaves it
     task_rng, batch_rng = RngStream(41, n), RngStream(41, n)
-    values = estimators._pure_task(n, measure)(task_rng, 997)
+    values = estimators._coherence_task("pure", n, measure)(task_rng, 997)
     p = np.abs(haar_pure_batch(batch_rng, n, 997)) ** 2
     np.testing.assert_allclose(values, _pure_values(p, measure), rtol=0, atol=1e-14)
     assert np.array_equal(task_rng.uniform(5), batch_rng.uniform(5))
@@ -217,7 +217,7 @@ def test_pure_task_matches_haar_pure_batch(n, measure):
 def test_pure_task_is_one_draw_up_to_block_draws(n, count):
     # chunk x N <= 2^21: one block, the same bytes as drawing the chunk at once
     task_rng, whole_rng = RngStream(43, n), RngStream(43, n)
-    values = estimators._pure_task(n, "skew")(task_rng, count)
+    values = estimators._coherence_task("pure", n, "skew")(task_rng, count)
     assert np.array_equal(values, _unblocked_pure(whole_rng, n, count, "skew"))
     assert np.array_equal(task_rng.uniform(5), whole_rng.uniform(5))
 
@@ -227,10 +227,29 @@ def test_pure_task_draws_blocks_in_order(monkeypatch, measure):
     # blocks of 12 states at N = 5: 12 + 12 + 6, each drawn as a whole chunk
     monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 64)
     task_rng, loop_rng = RngStream(47, 0), RngStream(47, 0)
-    values = estimators._pure_task(5, measure)(task_rng, 30)
+    values = estimators._coherence_task("pure", 5, measure)(task_rng, 30)
     expected = np.concatenate([_unblocked_pure(loop_rng, 5, b, measure) for b in (12, 12, 6)])
     assert np.array_equal(values, expected)
     assert np.array_equal(task_rng.uniform(5), loop_rng.uniform(5))
+
+
+@pytest.mark.parametrize("ensemble, sampler", [("pure", "haar_populations_batch"),
+                                               ("mixed", "hs_mixed_batch")])
+def test_mc_fails_closed_on_nan_state(monkeypatch, ensemble, sampler):
+    draw = getattr(estimators, sampler)
+
+    def one_nan_state(rng, n, count):
+        states = draw(rng, n, count)
+        states[count // 2] = np.nan
+        return states
+
+    monkeypatch.setattr(estimators, sampler, one_nan_state)
+    for measure in ("skew", "rel-ent"):
+        with pytest.raises(ValueError):
+            estimate_average(ensemble, 3, 2000, seed=1, measure=measure)
+    with pytest.raises(ValueError):
+        estimate_tail(ensemble, 3, 0.1, 2000, seed=1)
+    assert cli.main(["mc", "--ensemble", ensemble, "--dim", "3", "--samples", "2000"]) == 2
 
 
 def test_estimate_tail_impossible_deviation():

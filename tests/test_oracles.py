@@ -6,7 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import oracles
+from haar_coherence import estimators, oracles
 from haar_coherence.estimators import (_finish, _single_threaded_blas, merge_stats,
                                        stats_of)
 from haar_coherence.linalg import hermitian_eigvalsh
@@ -259,7 +259,7 @@ def _spectral_values(rng, n, b):
 ])
 def test_stats_oracles_match_hand_rolled_block_loop(oracle, values, entries, n, monkeypatch):
     block, samples = 256, 2 * 256 + 37  # two full blocks and a short final one
-    monkeypatch.setattr(oracles, "_BLOCK_DRAWS", block * entries(n))
+    monkeypatch.setattr(estimators, "_BLOCK_DRAWS", block * entries(n))
     rng, ref_rng = RngStream(257, n), RngStream(257, n)
     est = oracle(n, samples, rng)
     stats, done, pooled = (0, 0.0, 0.0), 0, []

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
 from haar_coherence import sampling
-from haar_coherence.linalg import partial_trace_b
+from haar_coherence.linalg import hermitian_part, partial_trace_b
 from haar_coherence.sampling import (RngStream, haar_pure_batch,
                                      haar_unitary_batch, hs_mixed_batch,
                                      sample_haar_pure, sample_haar_unitary,
@@ -130,6 +130,8 @@ def test_hs_mixed_is_valid_density_matrix():
     rho = sample_hs_mixed(RngStream(41, 0), 1)
     assert np.allclose(rho, [[1.0]])
     batch = hs_mixed_batch(RngStream(41, 1), 5, 200)
+    # exactly Hermitian: symmetrizing again changes no bit
+    assert hermitian_part(batch).tobytes() == batch.tobytes()
     for rho in batch:
         assert np.array_equal(rho, rho.conj().T)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)

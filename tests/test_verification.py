@@ -51,8 +51,9 @@ def test_batched_invariant_check_fails_closed_on_nan_state(monkeypatch):
     assert verification.check_haar_invariance(42).passed
     monkeypatch.setattr(verification, "haar_pure_batch",
                         _with_one_nan_state(verification.haar_pure_batch))
-    assert verification.check_haar_invariance(42).passed is False
-    # checks that go through the validated kernels refuse the state outright
+    # the validated kernels refuse the state; the suite reports a FAIL line
+    result = verification._fail_closed(verification.check_haar_invariance, (42,))
+    assert result.passed is False and "raised ValueError" in result.detail
     with pytest.raises(ValueError, match="normalized"):
         verification.check_lipschitz_pure(42)
 
