@@ -8,7 +8,7 @@ that verify every closed form.
 
 from .closed_forms import (MomentTable, PrecisionError, avg_coherence_mixed,
                            avg_coherence_pure, avg_cr_mixed, avg_cr_pure,
-                           coherent_subspace_dim, laguerre_moment, levy_bound,
+                           coherent_subspace_dim, levy_bound,
                            lipschitz_constant_mixed, lipschitz_constant_pure,
                            max_coherence, moment_table, pure_average_gap,
                            tail_bound_mixed, tail_bound_pure,
@@ -22,8 +22,8 @@ from .estimators import (EstimatorResult, SweepRow, TailEstimate,
 from .linalg import (Eigensystem, eig_hermitian, hermitian_part,
                      partial_trace_b, sqrt_psd, swap_operator)
 from .oracles import (QuadratureRule, gauss_laguerre_rule,
-                      laguerre_moment_quadrature, quadrature_moment_table,
-                      trace_sqrt_squared_mc, twofold_twirl, twofold_twirl_mc,
+                      quadrature_moment_table, trace_sqrt_squared_mc,
+                      twofold_twirl, twofold_twirl_mc,
                       vandermonde_sqrt_integral_mc)
 from .sampling import (RngStream, sample_haar_pure, sample_haar_unitary,
                        sample_hs_mixed)
@@ -36,8 +36,7 @@ __all__ = [
     "avg_coherence_mixed", "avg_coherence_pure", "avg_cr_mixed", "avg_cr_pure",
     "coherent_subspace_dim", "eig_hermitian",
     "estimate_average", "estimate_tail", "figure1_sweep", "gauss_laguerre_rule",
-    "hermitian_part", "laguerre_moment", "laguerre_moment_quadrature",
-    "levy_bound", "lipschitz_constant_mixed", "lipschitz_constant_pure",
+    "hermitian_part", "levy_bound", "lipschitz_constant_mixed", "lipschitz_constant_pure",
     "max_coherence", "moment_table", "partial_trace_b", "pure_average_gap",
     "quadrature_moment_table", "relative_entropy_coherence", "run_chunked",
     "sample_haar_pure", "sample_haar_unitary", "sample_hs_mixed",

@@ -22,36 +22,23 @@ _CLOSED_FORM_MEASURES = ("pure-avg", "mixed-avg", "cr-pure-avg", "cr-mixed-avg",
                          "max", "subspace-dim")
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _checked(convert, accept, wanted):
+    """argparse type: convert(text) and require accept(value), else "expected <wanted>"."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+    return parse
 
 
-def _seed(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "a finite positive number")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer seed in [0, 2^64)")
 
 
 def _default_threads():

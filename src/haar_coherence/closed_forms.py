@@ -76,21 +76,6 @@ def _moment_row(k: int, l: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarr
     return np.where((k + l) % 2, -sums, sums)
 
 
-def laguerre_moment(k: int, l: int, q: float) -> float:
-    """Weighted moment of L_k L_l against x^q e^{-x}, from the closed-form series.
-
-    Symmetric in (k, l); reduces to the Kronecker delta at q = 0 by
-    orthogonality.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("moment indices must be >= 0")
-    if q <= -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {q}")
-    k, l = min(k, l), max(k, l)
-    row = _moment_row(k, np.array([l]), _gen_binomial_array(q, l), _gamma_ratios(q, k + 1))
-    return float(row[0])
-
-
 def moment_table(n: int, q: float) -> MomentTable:
     """Symmetric n x n moment table for degrees 0..n-1, from the series.
 

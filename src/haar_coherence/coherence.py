@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .linalg import _psd_root_spectrum, _require_hermitian, sqrt_psd
+from .linalg import _psd_root_spectrum, _require_hermitian, _require_psd, sqrt_psd
 
 # Round-off slack on the admissible coherence range [0, 1 - 1/N].
 _RANGE_SLACK = 1e-10
@@ -90,11 +90,14 @@ def relative_entropy_coherence(rho):
 
     0 log 0 is taken as 0. Zero for diagonal states; for pure states this is
     the Shannon entropy of the basis populations. rho must be exactly
-    Hermitian; an (..., N, N) stack gives an array.
+    Hermitian and PSD up to EIG_CLAMP, else ValueError; an (..., N, N) stack
+    gives an array and raises if any member is invalid.
     """
     rho = np.asarray(rho, dtype=complex)
     _require_hermitian(rho, "density matrix")
-    spectrum = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    spectrum = np.linalg.eigvalsh(rho)
+    _require_psd(spectrum)
+    spectrum = np.clip(spectrum, 0.0, None)
     populations = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
     value = np.maximum(_shannon(populations) - _shannon(spectrum), 0.0)
     return float(value) if value.ndim == 0 else value

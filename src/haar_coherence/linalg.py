@@ -145,6 +145,14 @@ def hermitian_eigvalsh(m) -> np.ndarray:
     return values.reshape(m.shape[:-1])
 
 
+def _require_psd(values):
+    """ValueError if an ascending spectrum or (..., n) stack has a value < -EIG_CLAMP or NaN."""
+    smallest = values[..., 0].min(initial=0.0)
+    if not smallest >= -EIG_CLAMP:
+        raise ValueError(
+            f"matrix is not PSD: smallest eigenvalue {smallest:.3e} is below {-EIG_CLAMP:.0e}")
+
+
 def _psd_root_spectrum(rho):
     """Roots of the clamped eigenvalues of a PSD matrix or (..., n, n) stack,
     with the eigenvectors: sqrt(rho) = V diag(root) V†.
@@ -154,10 +162,7 @@ def _psd_root_spectrum(rho):
     an eigenvalue lies below -EIG_CLAMP or is NaN, for any member of a stack.
     """
     values, vectors = eig_hermitian(rho)
-    smallest = values[..., 0].min()
-    if not smallest >= -EIG_CLAMP:
-        raise ValueError(
-            f"matrix is not PSD: smallest eigenvalue {smallest:.3e} is below {-EIG_CLAMP:.0e}")
+    _require_psd(values)
     values = np.clip(values, 0.0, None)
     values[values < REL_CLAMP * values[..., -1:]] = 0.0
     return np.sqrt(values), vectors

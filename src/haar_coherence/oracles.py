@@ -14,7 +14,7 @@ import numpy as np
 
 from .closed_forms import MomentTable
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _finish,
-                         _fold_stats, stats_of)
+                         _fold_stats, _single_threaded_blas, stats_of)
 from .linalg import _require_dim, hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
@@ -62,10 +62,12 @@ def _renormalize(prev: np.ndarray, cur: np.ndarray, s: np.ndarray):
 def _laguerre_nodes(alpha: float, n_nodes: int) -> np.ndarray:
     """Eigenvalues of the generalized Laguerre Jacobi matrix. LAPACK's dsyevd
     reduces this already tridiagonal matrix by zero reflectors, so its dsterf gets
-    the diagonals scipy.linalg.eigh_tridiagonal passes: the same nodes, bit for bit."""
+    the diagonals scipy.linalg.eigh_tridiagonal passes: the same nodes, bit for bit.
+    OpenBLAS runs it on one thread, where this small solve is several times faster."""
     i = np.arange(n_nodes, dtype=float)
-    return np.linalg.eigvalsh(np.diag(2 * i + alpha + 1)
-                              + np.diag(np.sqrt(i[1:] * (i[1:] + alpha)), -1))
+    with _single_threaded_blas():
+        return np.linalg.eigvalsh(np.diag(2 * i + alpha + 1)
+                                  + np.diag(np.sqrt(i[1:] * (i[1:] + alpha)), -1))
 
 
 def _scaled_rule(alpha: float, n_nodes: int):
@@ -119,24 +121,6 @@ def _scaled_laguerre_rows(n_rows: int, x: np.ndarray) -> np.ndarray:
         prev, cur, s = _renormalize(prev, cur, s)
         np.ldexp(cur, s, out=rows[k + 1])
     return rows
-
-
-def laguerre_moment_quadrature(k: int, l: int, q: float, n_nodes: int = None) -> float:
-    """Quadrature value of the weighted moment of L_k L_l against x^q e^{-x}.
-
-    The default node count floor((k + l)/2) + 2 sits one above the exactness
-    threshold, so the degree k + l polynomial part is integrated exactly and
-    the only error is round-off.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("moment indices must be >= 0")
-    if q <= -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {q}")
-    if n_nodes is None:
-        n_nodes = (k + l) // 2 + 2
-    nodes, scaled = _scaled_rule(q, n_nodes)
-    rows = _scaled_laguerre_rows(max(k, l) + 1, nodes)
-    return float((scaled * rows[k] * rows[l]).sum())
 
 
 def quadrature_moment_table(n: int, q: float) -> MomentTable:
@@ -209,8 +193,9 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
     """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries.
 
     One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the
-    RNG order. Each block of W = U x U (d = n^2) is folded in by two matrix products:
-    X = [W_1; ...; W_b] A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
+    RNG order. Each block of W = U x U (d = n^2) is laid out as W[r, c, b] with
+    the sample index b innermost and folded in by two matrix products:
+    X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
     """
     a = np.asarray(a, dtype=complex)
     d = n * n
@@ -220,10 +205,10 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
         raise ValueError(f"need at least one sample, got {samples}")
     total = np.zeros((d, d), dtype=complex)
     for b in _block_sizes(samples, _TWIRL_BLOCK):
-        u = haar_unitary_batch(rng, n, b)
-        w = np.einsum("bij,bkl->bikjl", u, u).reshape(b, d, d)
-        x = (w.reshape(b * d, d) @ a).reshape(b, d, d).transpose(1, 0, 2)
-        total += x.reshape(d, b * d) @ w.conj().transpose(0, 2, 1).reshape(b * d, d)
+        ut = np.ascontiguousarray(haar_unitary_batch(rng, n, b).transpose(1, 2, 0))
+        w = (ut[:, None, :, None] * ut[None, :, None, :]).reshape(d, d, b)
+        x = a.T @ w
+        total += x.reshape(d, d * b) @ w.reshape(d, d * b).conj().T
     return total / samples
 
 

@@ -9,17 +9,15 @@ from haar_coherence import closed_forms as cf
 
 def test_laguerre_moment_known_values():
     root_pi = math.sqrt(math.pi)
-    assert cf.laguerre_moment(0, 0, 0.5) == pytest.approx(root_pi / 2, abs=1e-14)
-    assert cf.laguerre_moment(0, 1, 0.5) == pytest.approx(-root_pi / 4, abs=1e-14)
-    assert cf.laguerre_moment(1, 1, 0.5) == pytest.approx(7 * root_pi / 8, abs=1e-14)
-    assert cf.laguerre_moment(3, 5, 0.5) == cf.laguerre_moment(5, 3, 0.5)
+    values = cf.moment_table(6, 0.5).values
+    assert values[0, 0] == pytest.approx(root_pi / 2, abs=1e-14)
+    assert values[0, 1] == pytest.approx(-root_pi / 4, abs=1e-14)
+    assert values[1, 1] == pytest.approx(7 * root_pi / 8, abs=1e-14)
+    assert np.array_equal(values, values.T)
 
 
 def test_laguerre_moment_orthogonality_at_q_zero():
-    for k in range(7):
-        for l in range(7):
-            expected = 1.0 if k == l else 0.0
-            assert abs(cf.laguerre_moment(k, l, 0.0) - expected) < 1e-10
+    assert np.abs(cf.moment_table(7, 0.0).values - np.eye(7)).max() < 1e-10
 
 
 def reference_moment(k, l, q):
@@ -39,13 +37,12 @@ def test_moment_table_matches_elementwise_route():
     assert table.method == "series"
     for k in range(6):
         for l in range(6):
-            assert table.values[k, l] == cf.laguerre_moment(k, l, 0.5)
             assert table.values[k, l] == reference_moment(k, l, 0.5)
     n = 200
     table = cf.moment_table(n, 0.5)
     pairs = np.random.default_rng(2024).integers(0, n, size=(40, 2)).tolist()
     for k, l in pairs + [[0, 0], [0, n - 1], [n - 1, 0], [n - 1, n - 1]]:
-        assert table.values[k, l] == cf.laguerre_moment(k, l, 0.5) == reference_moment(k, l, 0.5)
+        assert table.values[k, l] == reference_moment(k, l, 0.5)
 
 
 def test_avg_coherence_pure():

@@ -179,6 +179,18 @@ def test_relative_entropy_rejects_non_hermitian_input():
         relative_entropy_coherence(stack)
 
 
+def test_relative_entropy_rejects_non_psd_input():
+    # clipping the negative eigenvalue used to return 0.0625 here
+    with pytest.raises(ValueError, match="not PSD"):
+        relative_entropy_coherence(np.array([[1.5, 0.3], [0.3, -0.5]]))
+    stack = hs_mixed_batch(RngStream(510, 2), 2, 4)
+    stack[3] = [[1.5, 0.3], [0.3, -0.5]]
+    with pytest.raises(ValueError, match="not PSD"):
+        relative_entropy_coherence(stack)
+    # round-off below zero, within EIG_CLAMP, is still accepted
+    assert relative_entropy_coherence(np.diag([1.0 + 1e-11, -1e-11])) == 0.0
+
+
 def test_single_state_returns_python_float():
     rho = hermitian_part(hs_mixed_batch(RngStream(503, 3), 3, 1)[0])
     psi = haar_pure_batch(RngStream(504, 3), 3, 1)[0]

@@ -12,6 +12,10 @@ BLAS builds.
 Bit contract v2: pure-state Monte Carlo takes each state's populations from
 the Exponential(1) radius block alone and skips the phase block. The cases
 marked v2 were recorded under it; the older ones did not move.
+
+Bit contract v3: up to N = 3 the Hilbert-Schmidt sampler forms its Gram
+matrices entry by entry instead of by matmul, so it calls no BLAS there; the
+mixed `sample` cases marked v3 pin it. No earlier case moved.
 """
 
 import hashlib
@@ -107,6 +111,20 @@ def test_skip_lands_where_the_draw_would(offset, k):
       "--measure", "rel-ent"],
      "ensemble,N,measure,mean,stderr,samples,seed\n"
      "pure,29,rel-ent,2.9620892878915224,0.0006734778905225037,20000,1\n"),
+    # v3
+    (["sample", "--ensemble", "mixed", "--dim", "2", "--seed", "5"],
+     '{"ensemble": "mixed", "dim": 2, "seed": 5, '
+     '"re": [0.724903812326476, 0.2529300434994667, 0.2529300434994667, '
+     '0.27509618767352406], '
+     '"im": [0.0, -0.15513355408293378, 0.15513355408293378, 0.0]}\n'),
+    # v3
+    (["sample", "--ensemble", "mixed", "--dim", "3", "--seed", "5"],
+     '{"ensemble": "mixed", "dim": 3, "seed": 5, '
+     '"re": [0.6147677587667739, -0.049351564013153486, -0.08996316600151104, '
+     '-0.049351564013153486, 0.12362973298676892, 0.0432127070042835, '
+     '-0.08996316600151104, 0.0432127070042835, 0.2616025082464572], '
+     '"im": [0.0, -0.18300519850087957, -0.04920122733054282, 0.18300519850087957, '
+     '0.0, 0.01603618422395865, 0.04920122733054282, -0.01603618422395865, 0.0]}\n'),
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected

@@ -113,12 +113,11 @@ def test_quadrature_table_orthonormal_past_underflow():
 
 def test_moment_quadrature_known_values():
     root_pi = math.sqrt(math.pi)
-    assert oracles.laguerre_moment_quadrature(0, 0, 0.5) == pytest.approx(root_pi / 2, abs=1e-13)
-    assert oracles.laguerre_moment_quadrature(1, 1, 0.5) == pytest.approx(7 * root_pi / 8, abs=1e-13)
-    for k in range(7):
-        for l in range(7):
-            value = oracles.laguerre_moment_quadrature(k, l, 0.0)
-            assert abs(value - (1.0 if k == l else 0.0)) < 1e-10
+    values = oracles.quadrature_moment_table(2, 0.5).values
+    assert values[0, 0] == pytest.approx(root_pi / 2, abs=1e-13)
+    assert values[0, 1] == pytest.approx(-root_pi / 4, abs=1e-13)
+    assert values[1, 1] == pytest.approx(7 * root_pi / 8, abs=1e-13)
+    assert np.abs(oracles.quadrature_moment_table(7, 0.0).values - np.eye(7)).max() < 1e-10
 
 
 def test_moment_series_vs_quadrature_full_table():
