@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import closed_forms, estimators, svg, verification
-from .sampling import (RngStream, sample_haar_pure, sample_haar_unitary,
-                       sample_hs_mixed)
+from .sampling import (RngStream, haar_pure_batch, haar_unitary_batch,
+                       hs_mixed_batch)
 
 _THREADS_ENV = "HAAR_COHERENCE_THREADS"
 
@@ -140,12 +140,12 @@ def _cmd_verify(args):
 def _cmd_sample(args):
     rng = RngStream(args.seed, 0)
     if args.ensemble == "pure":
-        value = sample_haar_pure(rng, args.dim)
+        batch = haar_pure_batch(rng, args.dim, 1)
     elif args.ensemble == "mixed":
-        value = sample_hs_mixed(rng, args.dim)
+        batch = hs_mixed_batch(rng, args.dim, 1)
     else:
-        value = sample_haar_unitary(rng, args.dim)
-    flat = value.ravel()  # row-major
+        batch = haar_unitary_batch(rng, args.dim, 1)
+    flat = batch[0].ravel()  # row-major
     print(json.dumps({"ensemble": args.ensemble, "dim": args.dim, "seed": args.seed,
                       "re": flat.real.tolist(), "im": flat.imag.tolist()}))
     return 0

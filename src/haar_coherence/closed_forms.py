@@ -39,11 +39,10 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Symmetric table of weighted Laguerre moments with its provenance."""
+    """Symmetric table of weighted Laguerre moments."""
 
     q: float
     values: np.ndarray  # (n, n), values[k, l] = I_kl(q)
-    method: str         # "series" or "quadrature"
 
 
 def _gen_binomial_array(q: float, m: int) -> np.ndarray:
@@ -96,7 +95,7 @@ def moment_table(n: int, q: float) -> MomentTable:
         values[k, k:] = row
         values[k:, k] = row
     values.flags.writeable = False
-    return MomentTable(q=q, values=values, method="series")
+    return MomentTable(q=q, values=values)
 
 
 @lru_cache(maxsize=None)

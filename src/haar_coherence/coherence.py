@@ -95,9 +95,7 @@ def relative_entropy_coherence(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     _require_hermitian(rho, "density matrix")
-    spectrum = np.linalg.eigvalsh(rho)
-    _require_psd(spectrum)
-    spectrum = np.clip(spectrum, 0.0, None)
+    spectrum = _require_psd(np.linalg.eigvalsh(rho))
     populations = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
     value = np.maximum(_shannon(populations) - _shannon(spectrum), 0.0)
     return float(value) if value.ndim == 0 else value

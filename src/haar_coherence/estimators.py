@@ -47,8 +47,6 @@ class EstimatorResult:
     mean: float
     stderr: float
     n_samples: int
-    master_seed: int
-    chunk_size: int
 
 
 @dataclass(frozen=True)
@@ -103,11 +101,10 @@ def _block_sizes(total: int, block: int) -> list:
     return [block] * full + [rest] * (rest > 0)
 
 
-def _finish(stats, master_seed, chunk_size) -> EstimatorResult:
+def _finish(stats) -> EstimatorResult:
     n, mean, m2 = stats
     stderr = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return EstimatorResult(mean=mean, stderr=stderr, n_samples=n,
-                           master_seed=master_seed, chunk_size=chunk_size)
+    return EstimatorResult(mean=mean, stderr=stderr, n_samples=n)
 
 
 @functools.cache
@@ -197,7 +194,7 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
             partials = list(pool.map(one_chunk, jobs))
     else:
         partials = [one_chunk(job) for job in jobs]
-    return _finish(_fold_stats(partials), master_seed, chunk_size)
+    return _finish(_fold_stats(partials))
 
 
 def _block_states(entries: int) -> int:

@@ -1,8 +1,5 @@
-"""Dense complex linear algebra kernel: Hermitian eigendecomposition,
-closed-form small-n spectra, PSD square root, partial trace and the swap
-operator."""
-
-from typing import NamedTuple
+"""Dense complex linear algebra kernel: closed-form small-n spectra, PSD
+square root, partial trace and the swap operator."""
 
 import numpy as np
 
@@ -20,11 +17,6 @@ REL_CLAMP = 1e-13
 # slices of this many matrices keep the temporaries in cache (2.3x faster
 # than one pass over 2.3e5 3x3 matrices).
 _CLOSED_FORM_SLICE = 16384
-
-
-class Eigensystem(NamedTuple):
-    values: np.ndarray   # real, ascending
-    vectors: np.ndarray  # unitary, eigenvectors in columns
 
 
 def _require_dim(n: int, least: int = 1):
@@ -45,19 +37,6 @@ def _require_hermitian(m, what="matrix"):
     # array_equal is False for NaN entries, so this also rejects non-finite input.
     if not np.array_equal(m, np.swapaxes(m.conj(), -1, -2)):
         raise ValueError(f"{what} is not exactly Hermitian; symmetrize with hermitian_part first")
-
-
-def eig_hermitian(m) -> Eigensystem:
-    """Eigendecomposition of a Hermitian matrix or (..., n, n) stack, ascending."""
-    m = np.asarray(m, dtype=complex)
-    _require_hermitian(m)
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        n = m.shape[-1]
-        raise np.linalg.LinAlgError(
-            f"Hermitian eigensolver did not converge on a {n}x{n} matrix") from exc
-    return Eigensystem(values, vectors)
 
 
 def _eigvalsh_2(m):
@@ -146,11 +125,12 @@ def hermitian_eigvalsh(m) -> np.ndarray:
 
 
 def _require_psd(values):
-    """ValueError if an ascending spectrum or (..., n) stack has a value < -EIG_CLAMP or NaN."""
+    """Ascending spectrum or (..., n) stack clipped at 0; ValueError below -EIG_CLAMP or on NaN."""
     smallest = values[..., 0].min(initial=0.0)
     if not smallest >= -EIG_CLAMP:
         raise ValueError(
             f"matrix is not PSD: smallest eigenvalue {smallest:.3e} is below {-EIG_CLAMP:.0e}")
+    return np.clip(values, 0.0, None)
 
 
 def _psd_root_spectrum(rho):
@@ -159,11 +139,17 @@ def _psd_root_spectrum(rho):
 
     Eigenvalues in [-EIG_CLAMP, 0) and eigenvalues below REL_CLAMP times the
     largest one are clamped to zero before taking roots. Raises ValueError if
-    an eigenvalue lies below -EIG_CLAMP or is NaN, for any member of a stack.
+    rho is not exactly Hermitian or any eigenvalue is NaN or below -EIG_CLAMP.
     """
-    values, vectors = eig_hermitian(rho)
-    _require_psd(values)
-    values = np.clip(values, 0.0, None)
+    rho = np.asarray(rho, dtype=complex)
+    _require_hermitian(rho)
+    try:
+        values, vectors = np.linalg.eigh(rho)
+    except np.linalg.LinAlgError as exc:
+        n = rho.shape[-1]
+        raise np.linalg.LinAlgError(
+            f"Hermitian eigensolver did not converge on a {n}x{n} matrix") from exc
+    values = _require_psd(values)
     values[values < REL_CLAMP * values[..., -1:]] = 0.0
     return np.sqrt(values), vectors
 

@@ -15,7 +15,7 @@ import numpy as np
 from .closed_forms import MomentTable
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _finish,
                          _fold_stats, _single_threaded_blas, stats_of)
-from .linalg import _require_dim, hermitian_eigvalsh, swap_operator
+from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 # Unitaries per haar_unitary_batch call of the twirl MC. Block boundaries fix
@@ -132,13 +132,13 @@ def quadrature_moment_table(n: int, q: float) -> MomentTable:
     values = (rows * scaled) @ rows.T
     values = (values + values.T) / 2
     values.flags.writeable = False
-    return MomentTable(q=q, values=values, method="quadrature")
+    return MomentTable(q=q, values=values)
 
 
-def _blocked_mean(values, samples: int, entries: int, rng: RngStream) -> EstimatorResult:
+def _blocked_mean(values, samples: int, entries: int) -> EstimatorResult:
     """Mean of values(b) over the draw blocks of samples taking `entries` draws each."""
     blocks = _block_sizes(samples, _block_states(entries))
-    return _finish(_fold_stats(stats_of(values(b)) for b in blocks), rng.master_seed, samples)
+    return _finish(_fold_stats(stats_of(values(b)) for b in blocks))
 
 
 def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
@@ -165,7 +165,7 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> Estima
                 f = f * (mu[:, i] - mu[:, j]) ** 2
         return f
 
-    return _blocked_mean(values, samples, n, rng)
+    return _blocked_mean(values, samples, n)
 
 
 def twofold_twirl(a, n: int) -> np.ndarray:
@@ -219,7 +219,7 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResu
         raise ValueError(f"need at least one sample, got {samples}")
 
     def values(b):
-        spectrum = np.clip(hermitian_eigvalsh(hs_mixed_batch(rng, n, b)), 0.0, None)
+        spectrum = _require_psd(hermitian_eigvalsh(hs_mixed_batch(rng, n, b)))
         return np.sqrt(spectrum).sum(axis=1) ** 2
 
-    return _blocked_mean(values, samples, n * n, rng)
+    return _blocked_mean(values, samples, n * n)

@@ -22,8 +22,8 @@ _MASK64 = (1 << 64) - 1
 # at n = 32. The twirl oracle, the hot caller, runs at n = 2 and 3.
 _GRAM_SCHMIDT_MAX_DIM = 3
 
-# hs_mixed_batch forms its Gram matrices ⌊_GRAM_SLICE_ENTRIES / n⌋ states at
-# a time, so each step's complex temporaries hold about 256·n KiB.
+# hs_mixed_batch forms its Gram matrices max(1, ⌊_GRAM_SLICE_ENTRIES / n⌋)
+# states at a time, so each step's complex temporaries hold about 256·n KiB.
 _GRAM_SLICE_ENTRIES = 16384
 
 # Up to this order hs_mixed_batch forms G G† entry by entry, not by a batched
@@ -164,11 +164,6 @@ def haar_unitary_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return q * (d.conj() / np.abs(d))[:, None, :]
 
 
-def _gram_slice_states(n: int) -> int:
-    """States per slice of the Gram step of hs_mixed_batch: at least one."""
-    return max(1, _GRAM_SLICE_ENTRIES // n)
-
-
 def _column_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the short last axis, one column after another."""
     return functools.reduce(np.add, np.moveaxis(x, -1, 0))
@@ -202,7 +197,7 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     """
     _require_dim(n)
     g = rng.complex_normal(count * n * n).reshape(count, n, n)
-    step = _gram_slice_states(n)
+    step = max(1, _GRAM_SLICE_ENTRIES // n)
     for start in range(0, count, step):
         block = g[start:start + step]
         if n <= _ELEMENTWISE_GRAM_MAX_DIM:
@@ -213,18 +208,3 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
         trace = np.einsum("bii->b", w).real
         np.divide(w, trace[:, None, None], out=block)
     return g
-
-
-def sample_haar_pure(rng: RngStream, n: int) -> np.ndarray:
-    """One Haar-random pure state of dimension n."""
-    return haar_pure_batch(rng, n, 1)[0]
-
-
-def sample_haar_unitary(rng: RngStream, n: int) -> np.ndarray:
-    """One Haar-random n x n unitary."""
-    return haar_unitary_batch(rng, n, 1)[0]
-
-
-def sample_hs_mixed(rng: RngStream, n: int) -> np.ndarray:
-    """One Hilbert-Schmidt random density matrix of dimension n."""
-    return hs_mixed_batch(rng, n, 1)[0]

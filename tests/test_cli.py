@@ -26,6 +26,17 @@ def test_closed_form_pure_avg(capsys):
     assert record == {"measure": "pure-avg", "N": 3, "value": 0.5}
 
 
+def test_public_names():
+    import haar_coherence
+
+    names = haar_coherence.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(haar_coherence, name) for name in names)
+    removed = {"Eigensystem", "eig_hermitian", "sample_haar_pure", "sample_hs_mixed",
+               "sample_haar_unitary"}
+    assert removed.isdisjoint(names)
+
+
 def fresh_env():
     """Environment for a fresh interpreter that imports this checkout's package."""
     src = Path(cli.__file__).resolve().parents[1]

@@ -34,7 +34,6 @@ def reference_moment(k, l, q):
 
 def test_moment_table_matches_elementwise_route():
     table = cf.moment_table(6, 0.5)
-    assert table.method == "series"
     for k in range(6):
         for l in range(6):
             assert table.values[k, l] == reference_moment(k, l, 0.5)

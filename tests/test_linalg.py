@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from haar_coherence.linalg import (EIG_CLAMP, eig_hermitian, hermitian_eigvalsh,
+from haar_coherence.linalg import (EIG_CLAMP, _psd_root_spectrum, hermitian_eigvalsh,
                                    hermitian_part, partial_trace_b, sqrt_psd,
                                    swap_operator)
 from haar_coherence.sampling import RngStream, haar_unitary_batch, hs_mixed_batch
@@ -18,37 +18,22 @@ def random_hermitian(rng, n):
     return hermitian_part(g)
 
 
-def test_eig_identity():
-    values, vectors = eig_hermitian(np.eye(2, dtype=complex))
-    assert np.allclose(values, [1.0, 1.0])
-    assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-12)
-
-
-def test_eig_diagonal():
-    values, _ = eig_hermitian(np.diag([0.3, 0.7]).astype(complex))
-    assert np.allclose(values, [0.3, 0.7], atol=1e-15)
-
-
-def test_eig_tilted_qubit():
-    # characteristic polynomial by hand: (0.5 - x)^2 = 0.3^2
-    values, _ = eig_hermitian(TILTED)
-    assert np.allclose(values, [0.2, 0.8], atol=1e-14)
-
-
-def test_eig_rejects_non_hermitian():
+def test_sqrt_psd_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
 def test_eig_reconstruction_and_unitarity(n):
+    # the eigenpairs behind sqrt_psd: ascending roots, unitary vectors, rho rebuilt
     rng = RngStream(101, n)
     for _ in range(5):
         m = random_hermitian(rng, n)
-        values, vectors = eig_hermitian(m)
-        assert np.all(np.diff(values) >= 0)
-        recon = (vectors * values) @ vectors.conj().T
-        assert np.linalg.norm(recon - m) < 1e-10 * np.linalg.norm(m)
+        rho = hermitian_part(m @ m)
+        root, vectors = _psd_root_spectrum(rho)
+        assert np.all(np.diff(root) >= 0)
+        recon = (vectors * root**2) @ vectors.conj().T
+        assert np.linalg.norm(recon - rho) < 1e-10 * np.linalg.norm(rho)
         assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) < 1e-10
 
 
@@ -175,11 +160,8 @@ def test_stack_kernels_equal_per_matrix_loop(n):
     g = RngStream(401, n).complex_normal(6 * n * n).reshape(6, n, n)
     assert np.array_equal(hermitian_part(g), np.stack([hermitian_part(m) for m in g]))
     m = np.stack([random_hermitian(RngStream(402, k), n) for k in range(6)])
-    values, vectors = eig_hermitian(m)
-    for k in range(6):
-        single = eig_hermitian(m[k])
-        assert np.array_equal(values[k], single.values)
-        assert np.array_equal(vectors[k], single.vectors)
+    psd = hermitian_part(m @ m)
+    assert np.array_equal(sqrt_psd(psd), np.stack([sqrt_psd(p) for p in psd]))
     rho = hermitian_part(hs_mixed_batch(RngStream(403, n), n, 6))
     assert np.array_equal(sqrt_psd(rho), np.stack([sqrt_psd(r) for r in rho]))
 
@@ -198,15 +180,13 @@ def test_stack_rejects_one_bad_member():
     skewed = rho.copy()
     skewed[2, 0, 1] += 1e-9
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(skewed)
-    with pytest.raises(ValueError, match="Hermitian"):
         sqrt_psd(skewed)
     indefinite = rho.copy()
     indefinite[1] = np.diag([1.001, 0.0, -1e-3])
     with pytest.raises(ValueError, match="not PSD"):
         sqrt_psd(indefinite)
     with pytest.raises(ValueError, match="square"):
-        eig_hermitian(np.zeros((4, 2, 3), dtype=complex))
+        sqrt_psd(np.zeros((4, 2, 3), dtype=complex))
 
 
 def test_stack_clamps_relative_to_each_member():

@@ -123,7 +123,6 @@ def test_moment_quadrature_known_values():
 def test_moment_series_vs_quadrature_full_table():
     series = cf.moment_table(64, 0.5)
     quad = oracles.quadrature_moment_table(64, 0.5)
-    assert quad.method == "quadrature"
     assert float(np.abs(series.values - quad.values).max()) <= 1e-9
 
 
@@ -268,6 +267,6 @@ def test_stats_oracles_match_hand_rolled_block_loop(oracle, values, entries, n, 
         stats = merge_stats(stats, stats_of(pooled[-1]))
         done += b
     assert [len(p) for p in pooled] == [256, 256, 37]
-    assert est == _finish(stats, 257, samples)
+    assert est == _finish(stats)
     assert est.mean == pytest.approx(np.concatenate(pooled).mean(), rel=1e-12)
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))

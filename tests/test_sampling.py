@@ -9,9 +9,7 @@ from scipy.stats import ks_2samp, kstest
 from haar_coherence import sampling
 from haar_coherence.linalg import hermitian_part, partial_trace_b
 from haar_coherence.sampling import (RngStream, haar_pure_batch,
-                                     haar_unitary_batch, hs_mixed_batch,
-                                     sample_haar_pure, sample_haar_unitary,
-                                     sample_hs_mixed)
+                                     haar_unitary_batch, hs_mixed_batch)
 
 
 def test_stream_determinism():
@@ -74,7 +72,7 @@ def test_gaussian_moments():
 
 
 def test_haar_pure_unit_norm_and_phase_case():
-    psi = sample_haar_pure(RngStream(11, 0), 1)
+    psi = haar_pure_batch(RngStream(11, 0), 1, 1)[0]
     assert abs(abs(psi[0]) - 1.0) < 1e-12
     batch = haar_pure_batch(RngStream(11, 1), 6, 500)
     norms = np.linalg.norm(batch, axis=1)
@@ -97,7 +95,7 @@ def test_haar_pure_component_cdf():
 
 
 def test_haar_unitary_unitarity():
-    u1 = sample_haar_unitary(RngStream(31, 0), 1)
+    u1 = haar_unitary_batch(RngStream(31, 0), 1, 1)[0]
     assert abs(abs(u1[0, 0]) - 1.0) < 1e-12
     batch = haar_unitary_batch(RngStream(31, 1), 16, 100)
     eye = np.eye(16)
@@ -142,7 +140,7 @@ def test_haar_unitary_first_column_matches_pure_sampler():
 
 
 def test_hs_mixed_is_valid_density_matrix():
-    rho = sample_hs_mixed(RngStream(41, 0), 1)
+    rho = hs_mixed_batch(RngStream(41, 0), 1, 1)[0]
     assert np.allclose(rho, [[1.0]])
     batch = hs_mixed_batch(RngStream(41, 1), 5, 200)
     # exactly Hermitian: symmetrizing again changes no bit
@@ -177,7 +175,7 @@ def test_hs_mixed_purity_moment():
 
 
 def test_bipartite_pure_contract():
-    psi = sample_haar_pure(RngStream(53, 0), 1 * 1)
+    psi = haar_pure_batch(RngStream(53, 0), 1 * 1, 1)[0]
     assert psi.shape == (1,)
     batch = haar_pure_batch(RngStream(53, 1), 4, 300)
     assert np.abs(np.linalg.norm(batch, axis=1) - 1.0).max() < 1e-12
@@ -188,7 +186,7 @@ def test_bipartite_reduction_purity_moment():
     rng = RngStream(59, 0)
     purities = np.empty(10**4)
     for i in range(purities.size):
-        psi = sample_haar_pure(rng, 2 * 2)
+        psi = haar_pure_batch(rng, 2 * 2, 1)[0]
         rho = partial_trace_b(np.outer(psi, psi.conj()), 2, 2)
         purities[i] = np.trace(rho @ rho).real
     stderr = purities.std(ddof=1) / math.sqrt(purities.size)
@@ -215,7 +213,7 @@ def test_gram_and_bipartite_routes_agree():
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_hs_mixed_slices_match_unsliced_formula(n):
     # three full Gram slices and a short last one, against the whole-block formula
-    count = 3 * sampling._gram_slice_states(n) + 5
+    count = 3 * (sampling._GRAM_SLICE_ENTRIES // n) + 5
     g = RngStream(31, n).complex_normal(count * n * n).reshape(count, n, n)
     w = g @ np.conj(np.swapaxes(g, 1, 2))
     w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2

@@ -20,7 +20,7 @@ def fresh_moment_cache():
 def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
     def poisoned(n, q):
         values = np.full((n, n), np.nan)
-        return MomentTable(q=q, values=values, method="quadrature")
+        return MomentTable(q=q, values=values)
 
     monkeypatch.setattr(oracles, "quadrature_moment_table", poisoned)
     with pytest.raises(cf.PrecisionError, match="nan"):
@@ -31,8 +31,7 @@ def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
 
 def test_spectral_average_fails_closed_on_nan_mean(monkeypatch):
     def nan_estimate(n, samples, rng):
-        return EstimatorResult(mean=math.nan, stderr=1e-3, n_samples=samples,
-                               master_seed=rng.master_seed, chunk_size=samples)
+        return EstimatorResult(mean=math.nan, stderr=1e-3, n_samples=samples)
 
     monkeypatch.setattr(oracles, "trace_sqrt_squared_mc", nan_estimate)
     assert verification.check_spectral_average(42).passed is False
@@ -67,12 +66,13 @@ def test_validated_invariant_check_rejects_nan_state(monkeypatch):
 
 def test_spectral_mc_fails_closed_on_nan_state(monkeypatch):
     # LAPACK's eigvalsh returns finite eigenvalues for some NaN matrices;
-    # the closed-form spectra must not
+    # the closed-form spectra give NaN, which the PSD check refuses
     monkeypatch.setattr(oracles, "hs_mixed_batch", _with_one_nan_state(oracles.hs_mixed_batch))
     for n in (2, 3):
-        with np.errstate(invalid="ignore"):
-            est = oracles.trace_sqrt_squared_mc(n, 1000, RngStream(5, n))
-        assert math.isnan(est.mean)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not PSD"):
+            oracles.trace_sqrt_squared_mc(n, 1000, RngStream(5, n))
+    result = verification._fail_closed(verification.check_spectral_average, (42,))
+    assert result.passed is False and "raised ValueError" in result.detail
 
 
 @pytest.mark.parametrize("case", ["random", "unequal sizes", "ties", "identical"])
