@@ -13,8 +13,7 @@ import os
 import sys
 
 from . import closed_forms, estimators, svg, verification
-from .sampling import (RngStream, haar_pure_batch, haar_unitary_batch,
-                       hs_mixed_batch)
+from .sampling import RngStream, haar_pure_batch, haar_unitary_batch, hs_mixed_batch
 
 _THREADS_ENV = "HAAR_COHERENCE_THREADS"
 
@@ -42,16 +41,11 @@ _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer seed in [0, 2^64)")
 
 
 def _default_threads():
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
+    raw = os.environ.get(_THREADS_ENV, "1")
     try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {raw!r}") from None
 
 
 def _print_record(record, fmt):
@@ -138,14 +132,9 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    rng = RngStream(args.seed, 0)
-    if args.ensemble == "pure":
-        batch = haar_pure_batch(rng, args.dim, 1)
-    elif args.ensemble == "mixed":
-        batch = hs_mixed_batch(rng, args.dim, 1)
-    else:
-        batch = haar_unitary_batch(rng, args.dim, 1)
-    flat = batch[0].ravel()  # row-major
+    sample = {"pure": haar_pure_batch, "mixed": hs_mixed_batch,
+              "unitary": haar_unitary_batch}[args.ensemble]
+    flat = sample(RngStream(args.seed, 0), args.dim, 1)[0].ravel()  # row-major
     print(json.dumps({"ensemble": args.ensemble, "dim": args.dim, "seed": args.seed,
                       "re": flat.real.tolist(), "im": flat.imag.tolist()}))
     return 0
@@ -159,67 +148,58 @@ def build_parser():
                     "verification oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("closed-form", help="evaluate a closed-form quantity",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def command(name, func, text):
+        p = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=func)
+        return p
+
+    def chunk_and_threads(p):
+        p.add_argument("--chunk", type=_positive_int, default=estimators.DEFAULT_CHUNK_SIZE)
+        p.add_argument("--threads", type=_positive_int, default=None,
+                       help=f"worker threads (default: ${_THREADS_ENV} or 1)")
+
+    p = command("closed-form", _cmd_closed_form, "evaluate a closed-form quantity")
     p.add_argument("--dim", type=_positive_int, required=True, help="Hilbert space dimension")
     p.add_argument("--measure", choices=_CLOSED_FORM_MEASURES, required=True)
     p.add_argument("--epsilon", type=_positive_float, default=None,
                    help="deviation parameter (subspace-dim only)")
-    p.set_defaults(func=_cmd_closed_form)
 
-    p = sub.add_parser("mc", help="Monte Carlo average of a coherence measure",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("mc", _cmd_mc, "Monte Carlo average of a coherence measure")
     p.add_argument("--ensemble", choices=("pure", "mixed"), required=True)
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--measure", choices=("skew", "rel-ent"), default="skew")
-    p.add_argument("--chunk", type=_positive_int, default=estimators.DEFAULT_CHUNK_SIZE)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help=f"worker threads (default: ${_THREADS_ENV} or 1)")
+    chunk_and_threads(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("tail", help="empirical tail frequency vs concentration bound",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("tail", _cmd_tail, "empirical tail frequency vs concentration bound")
     p.add_argument("--ensemble", choices=("pure", "mixed"), required=True)
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=_positive_float, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--chunk", type=_positive_int, default=estimators.DEFAULT_CHUNK_SIZE)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help=f"worker threads (default: ${_THREADS_ENV} or 1)")
+    chunk_and_threads(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_tail)
 
-    p = sub.add_parser("figure1", help="dimension sweep of the mixed-state average",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("figure1", _cmd_figure1, "dimension sweep of the mixed-state average")
     p.add_argument("--max-exp", type=_positive_int, required=True,
                    help="sweep N = 2^m for m = 1..max-exp")
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--svg", default=None, help="optional SVG chart path")
-    p.add_argument("--chunk", type=_positive_int, default=estimators.DEFAULT_CHUNK_SIZE)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help=f"worker threads (default: ${_THREADS_ENV} or 1)")
-    p.set_defaults(func=_cmd_figure1)
+    chunk_and_threads(p)
 
-    p = sub.add_parser("verify", help="run the verification suites",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("verify", _cmd_verify, "run the verification suites")
     p.add_argument("--suite", choices=verification.SUITES, default="all")
     p.add_argument("--seed", type=_seed, default=42)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sample", help="draw one state or unitary as JSON",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p = command("sample", _cmd_sample, "draw one state or unitary as JSON")
     p.add_argument("--ensemble", choices=("pure", "mixed", "unitary"), required=True)
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(func=_cmd_sample)
-
     return parser
 
 

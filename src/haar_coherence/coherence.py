@@ -3,6 +3,7 @@
 import numpy as np
 
 from .linalg import _psd_root_spectrum, _require_hermitian, _require_psd, sqrt_psd
+from .sampling import _column_sum
 
 # Round-off slack on the admissible coherence range [0, 1 - 1/N].
 _RANGE_SLACK = 1e-10
@@ -15,7 +16,7 @@ def _skew(d):
     Raises ValueError if a value, NaN included, lies outside [0, 1 - 1/N]
     beyond round-off; values just below 0 are clamped to 0.
     """
-    value = 1.0 - (d * d).sum(axis=-1)
+    value = 1.0 - _column_sum(d * d)
     dim = d.shape[-1]
     upper = 1.0 - 1.0 / dim
     # min and max are NaN when any value is, so NaN fails the range test

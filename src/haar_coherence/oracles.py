@@ -14,7 +14,7 @@ import numpy as np
 
 from .closed_forms import MomentTable
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _finish,
-                         _fold_stats, _single_threaded_blas, stats_of)
+                         _single_threaded_blas, stats_of)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
@@ -137,8 +137,10 @@ def quadrature_moment_table(n: int, q: float) -> MomentTable:
 
 def _blocked_mean(values, samples: int, entries: int) -> EstimatorResult:
     """Mean of values(b) over the draw blocks of samples taking `entries` draws each."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     blocks = _block_sizes(samples, _block_states(entries))
-    return _finish(_fold_stats(stats_of(values(b)) for b in blocks))
+    return _finish(stats_of(values(b)[None])[0] for b in blocks)
 
 
 def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
@@ -154,8 +156,6 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> Estima
     if n > _VANDERMONDE_MAX_DIM:
         raise ValueError(
             f"Monte Carlo route is limited to dimension <= {_VANDERMONDE_MAX_DIM}, got {n}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
 
     def values(b):
         mu = rng.exponential(b * n).reshape(b, n)
@@ -215,8 +215,6 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
 def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
     """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states."""
     _require_dim(n)
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
 
     def values(b):
         spectrum = _require_psd(hermitian_eigvalsh(hs_mixed_batch(rng, n, b)))

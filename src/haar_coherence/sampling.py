@@ -51,16 +51,22 @@ class RngStream:
     uniform block, phase from the second). Both choices are fixed because
     they determine the bit-level output.
 
-    A stream must not be shared between concurrent workers; create one stream
-    per chunk instead.
+    A stream must not be shared between concurrent workers; the chunked engine
+    gives each worker its own and re-keys them from chunk to chunk.
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        self.master_seed = int(master_seed) & _MASK64
-        self.stream_index = int(stream_index) & _MASK64
-        k0 = _splitmix64(_splitmix64(self.master_seed) ^ self.stream_index)
-        k1 = _splitmix64(k0)
-        self._bits = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
+        self._bits = np.random.Philox()
+        self._rekey(master_seed, stream_index)
+
+    def _rekey(self, master_seed: int, stream_index: int) -> None:
+        """Become RngStream(master_seed, stream_index) at its start: a Philox stream is its
+        key, a zero counter and an empty buffer (3.5 us to set, 19 to construct on x86-64)."""
+        k0 = _splitmix64(_splitmix64(int(master_seed) & _MASK64) ^ (int(stream_index) & _MASK64))
+        self._bits.state = {"bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
+                            "uinteger": 0, "buffer": np.zeros(4, np.uint64),
+                            "state": {"counter": np.zeros(4, np.uint64),
+                                      "key": np.array([k0, _splitmix64(k0)], np.uint64)}}
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -119,18 +125,24 @@ def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def haar_populations_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
+def haar_populations_batch(rng, n: int, count: int) -> np.ndarray:
     """(count, n) populations |psi_k|^2 of the states haar_pure_batch draws.
 
     The squared radius of a polar Box-Muller normal is the Exponential(1)
     variate of its first uniform block, so p = e / sum(e) equals the
     haar_pure_batch populations up to round-off without the phase block,
     which is skipped: the stream is left where haar_pure_batch leaves it.
+
+    Given a list of streams, it stacks `count` states of each in list order
+    and normalizes them in one pass, row by row: the bits of one call each.
     """
     _require_dim(n)
-    e = rng.exponential(count * n).reshape(count, n)
-    rng._skip(count * n)
-    return e / e.sum(axis=1, keepdims=True)
+    blocks = []
+    for stream in rng if isinstance(rng, list) else [rng]:
+        blocks.append(stream.exponential(count * n).reshape(count, n))
+        stream._skip(count * n)
+    e = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    return e / _column_sum(e)[:, None]
 
 
 def _gram_schmidt(g: np.ndarray) -> np.ndarray:
@@ -165,7 +177,10 @@ def haar_unitary_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
 
 
 def _column_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the short last axis, one column after another."""
+    """x.sum(axis=-1), bit for bit: numpy adds up to 7 entries in order, as one column
+    after another does without its per-row loop; its pairwise sum of 8 or more differs."""
+    if x.shape[-1] > 7:
+        return x.sum(axis=-1)
     return functools.reduce(np.add, np.moveaxis(x, -1, 0))
 
 

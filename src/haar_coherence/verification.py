@@ -18,8 +18,7 @@ from . import closed_forms, oracles
 from .coherence import skew_coherence, skew_coherence_pure, skew_information
 from .estimators import _coherence_task, _single_threaded_blas, estimate_average
 from .linalg import hermitian_part, partial_trace_b, swap_operator
-from .sampling import (RngStream, _splitmix64, haar_pure_batch,
-                       haar_unitary_batch, hs_mixed_batch)
+from .sampling import RngStream, _splitmix64, haar_pure_batch, haar_unitary_batch, hs_mixed_batch
 
 SUITES = ("oracles", "invariants", "all")
 
@@ -163,8 +162,7 @@ def check_twirl_mc(seed):
 
 
 def check_spectral_average(seed):
-    failures = []
-    details = []
+    failures, details = [], []
     for n, exact in ((2, 1 + 3 * math.pi / 16), (3, None)):
         est = oracles.trace_sqrt_squared_mc(n, 10**6, _stream(seed, f"spectral-{n}"))
         closed = closed_forms.trace_sqrt_squared_average(n)
@@ -185,7 +183,7 @@ def check_spectral_average(seed):
 def check_range(seed):
     worst_low, worst_high = 0.0, 0.0
     for n in _DIMS:
-        values = _coherence_task("mixed", n, "skew")(_stream(seed, f"range-{n}"), 10**4)
+        values = _coherence_task("mixed", n, "skew")([_stream(seed, f"range-{n}")], 10**4)[0]
         worst_low = -_worst(-worst_low, -values)  # min(x) = -max(-x)
         worst_high = _worst(worst_high, values - (1 - 1 / n))
     ok = worst_low >= -1e-10 and worst_high <= 1e-10
@@ -308,7 +306,7 @@ def check_haar_invariance(seed):
 def check_sampler_consistency(seed):
     worst_ks, worst_route = 0.0, 0.0
     for n in (2, 3):
-        direct = _coherence_task("mixed", n, "skew")(_stream(seed, f"cons-direct-{n}"), 10**4)
+        direct = _coherence_task("mixed", n, "skew")([_stream(seed, f"cons-direct-{n}")], 10**4)[0]
         psi = haar_pure_batch(_stream(seed, f"cons-bipartite-{n}"), n * n, 10**4)
         amp = psi.reshape(-1, n, n)
         gram = hermitian_part(amp @ np.conj(np.swapaxes(amp, 1, 2)))
@@ -340,32 +338,17 @@ def check_mean_agreement(seed):
 def _oracle_jobs(seed: int):
     # (check, args) pairs, built per call so each check is looked up by its
     # module-global name when the suite runs
-    return [
-        (check_quadrature_exactness, ()),
-        (check_orthogonality, ()),
-        (check_moment_routes, ()),
-        (check_moment_values, ()),
-        (check_vandermonde_mc, (seed,)),
-        (check_twirl_fixed_points, ()),
-        (check_twirl_mc, (seed,)),
-        (check_spectral_average, (seed,)),
-    ]
+    return [(check_quadrature_exactness, ()), (check_orthogonality, ()),
+            (check_moment_routes, ()), (check_moment_values, ()),
+            (check_vandermonde_mc, (seed,)), (check_twirl_fixed_points, ()),
+            (check_twirl_mc, (seed,)), (check_spectral_average, (seed,))]
 
 
 def _invariant_jobs(seed: int):
     return [(check, (seed,)) for check in (
-        check_range,
-        check_projector_sum,
-        check_pure_mixed_consistency,
-        check_lipschitz_pure,
-        check_lipschitz_bipartite,
-        check_polygamy,
-        check_convexity,
-        check_extremes,
-        check_haar_invariance,
-        check_sampler_consistency,
-        check_mean_agreement,
-    )]
+        check_range, check_projector_sum, check_pure_mixed_consistency, check_lipschitz_pure,
+        check_lipschitz_bipartite, check_polygamy, check_convexity, check_extremes,
+        check_haar_invariance, check_sampler_consistency, check_mean_agreement)]
 
 
 def _fail_closed(check, args) -> CheckResult:

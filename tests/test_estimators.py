@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from haar_coherence.estimators import (_coherence_task, estimate_average,
 from haar_coherence.sampling import RngStream, haar_pure_batch, hs_mixed_batch
 
 
-def counting_task(rng, count):
-    return rng.uniform(count)
+def counting_task(streams, count):
+    return np.stack([rng.uniform(count) for rng in streams])
 
 
 def test_run_chunked_respects_total():
@@ -44,6 +45,52 @@ def test_run_chunked_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("count", [1, 7, 700, 1024, 8193, 100_003])
+def test_row_stats_are_those_of_each_row(count):
+    block = RngStream(3, count).exponential(5 * count).reshape(5, count) ** 3
+    for row, (n, mean, m2) in zip(block, estimators.stats_of(block)):
+        row = row.copy()
+        assert (n, mean, m2) == (count, float(row.mean()), float(((row - row.mean()) ** 2).sum()))
+
+
+def test_run_chunked_hands_groups_of_chunk_streams(monkeypatch):
+    # 10 full chunks of 100 in groups of 3, 3, 3 and 1, the short one alone;
+    # each stream is the chunk's own, at its start
+    calls = []
+
+    def task(streams, count):
+        calls.append((len(streams), count))
+        return counting_task(streams, count)
+
+    task.group_entries = 1
+    monkeypatch.setattr(estimators, "_GROUP_DRAWS", 3 * 100)
+    for threads in (1, 2):
+        calls.clear()
+        result = run_chunked(task, 1050, chunk_size=100, master_seed=5, threads=threads)
+        assert sorted(calls) == sorted([(3, 100)] * 3 + [(1, 100), (1, 50)])
+        assert result == estimators._finish(
+            estimators.stats_of(RngStream(5, c).uniform(size)[None])[0]
+            for c, size in enumerate([100] * 10 + [50]))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 29])
+def test_group_size_never_changes_a_bit(monkeypatch, n):
+    # 13 full chunks of 300 and a short one of 100, in groups of 1, 3 and
+    # every chunk; at the default, N = 2 takes all 13, N = 7 groups of 7, N = 8
+    # groups of 6 and N = 29 one chunk per group
+    def runs():
+        return [estimate_average("pure", n, 4000, seed=8, measure=measure, chunk_size=300)
+                for measure in ("skew", "rel-ent")] + [
+            estimate_tail("pure", n, 0.01, 4000, seed=8, chunk_size=300, threads=threads)
+            for threads in (1, 2)]
+
+    default = runs()
+    assert 0.0 < default[2].frequency < 1.0
+    for chunks in (1, 3, 14):
+        monkeypatch.setattr(estimators, "_GROUP_DRAWS", chunks * 300 * n)
+        assert runs() == default
+
+
 @pytest.fixture
 def openblas():
     handle = estimators._openblas_threads()
@@ -59,9 +106,9 @@ def openblas():
 def test_pool_workers_see_one_blas_thread(openblas):
     seen = []
 
-    def task(rng, count):
+    def task(streams, count):
         seen.append(openblas())
-        return rng.uniform(count)
+        return counting_task(streams, count)
 
     run_chunked(task, 2000, chunk_size=250, threads=2)
     assert seen == [1] * 8
@@ -69,7 +116,7 @@ def test_pool_workers_see_one_blas_thread(openblas):
 
 
 def test_blas_threads_restored_when_a_task_raises(openblas):
-    def task(rng, count):
+    def task(streams, count):
         raise RuntimeError("task failed")
 
     with pytest.raises(RuntimeError, match="task failed"):
@@ -83,16 +130,16 @@ def test_overlapping_pools_share_one_pin(openblas):
     a_started, b_started, a_done = (threading.Event() for _ in range(3))
     seen_by_b = []
 
-    def task_a(rng, count):
+    def task_a(streams, count):
         a_started.set()
         assert b_started.wait(10)
-        return rng.uniform(count)
+        return counting_task(streams, count)
 
-    def task_b(rng, count):
+    def task_b(streams, count):
         b_started.set()
         assert a_done.wait(10)
         seen_by_b.append(openblas())
-        return rng.uniform(count)
+        return counting_task(streams, count)
 
     def run_a():
         run_chunked(task_a, 10, chunk_size=10, threads=2)
@@ -114,9 +161,9 @@ def test_overlapping_pools_share_one_pin(openblas):
 def test_serial_path_leaves_blas_threads_alone(openblas):
     seen = []
 
-    def task(rng, count):
+    def task(streams, count):
         seen.append(openblas())
-        return rng.uniform(count)
+        return counting_task(streams, count)
 
     run_chunked(task, 500, chunk_size=250, threads=1)
     assert seen == [2, 2]
@@ -146,8 +193,8 @@ def test_mixed_task_matches_public_measures():
         skew_batch = _coherence_task("mixed", n, "skew")
         rel_batch = _coherence_task("mixed", n, "rel-ent")
         # replay the same stream so the tasks see identical states
-        skew_values = skew_batch(RngStream(301, n), 40)
-        rel_values = rel_batch(RngStream(301, n), 40)
+        skew_values = skew_batch([RngStream(301, n)], 40)[0]
+        rel_values = rel_batch([RngStream(301, n)], 40)[0]
         for i, rho in enumerate(states):
             assert abs(skew_values[i] - skew_coherence(rho)) < 1e-12
             assert abs(rel_values[i] - relative_entropy_coherence(rho)) < 1e-10
@@ -169,6 +216,37 @@ def test_block_memory_limit_counts_blocks_in_flight():
     check("mixed", 4729, 10**6, 10**6, threads=1)
     with pytest.raises(ValueError, match="GiB limit"):
         check("mixed", 4730, 2, 1, threads=1)
+
+
+def test_block_memory_counts_a_group_of_pure_chunks(monkeypatch):
+    # at N = 2, 8 chunks of 1024 states draw one group of 2^14 entries at once;
+    # mixed chunks are never grouped
+    group = estimators._GROUP_DRAWS * estimators._BYTES_PER_ENTRY
+    check = estimators._check_block_memory
+    monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", group)
+    check("pure", 2, 8 * 1024, 1024, threads=1)
+    check("pure", 2, 10**6, 1024, threads=1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("pure", 2, 10**6, 1024, threads=2)
+    monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", group - 1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("pure", 2, 8 * 1024, 1024, threads=1)
+    check("pure", 2, 7 * 1024, 1024, threads=1)
+    check("mixed", 2, 10**6, 1024, threads=1)
+
+
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_group_working_set_is_within_its_estimate(measure):
+    task = _coherence_task("pure", 2, measure)
+    streams = [RngStream(5, k) for k in range(estimators._group_chunks(1024, 2))]
+    task(streams, 1024)  # rel-ent imports scipy on its first call
+    tracemalloc.start()
+    try:
+        task(streams, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimators._GROUP_DRAWS * estimators._BYTES_PER_ENTRY
 
 
 def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch):
@@ -206,7 +284,7 @@ def test_pure_task_matches_haar_pure_batch(n, measure):
     # populations from the radius block alone: the states' |psi_k|^2 up to
     # round-off, and the stream left where haar_pure_batch leaves it
     task_rng, batch_rng = RngStream(41, n), RngStream(41, n)
-    values = estimators._coherence_task("pure", n, measure)(task_rng, 997)
+    values = estimators._coherence_task("pure", n, measure)([task_rng], 997)[0]
     p = np.abs(haar_pure_batch(batch_rng, n, 997)) ** 2
     np.testing.assert_allclose(values, _pure_values(p, measure), rtol=0, atol=1e-14)
     assert np.array_equal(task_rng.uniform(5), batch_rng.uniform(5))
@@ -216,7 +294,7 @@ def test_pure_task_matches_haar_pure_batch(n, measure):
 def test_pure_task_is_one_draw_up_to_block_draws(n, count):
     # chunk x N <= 2^21: one block, the same bytes as drawing the chunk at once
     task_rng, whole_rng = RngStream(43, n), RngStream(43, n)
-    values = estimators._coherence_task("pure", n, "skew")(task_rng, count)
+    values = estimators._coherence_task("pure", n, "skew")([task_rng], count)[0]
     assert np.array_equal(values, _unblocked_pure(whole_rng, n, count, "skew"))
     assert np.array_equal(task_rng.uniform(5), whole_rng.uniform(5))
 
@@ -226,7 +304,7 @@ def test_pure_task_draws_blocks_in_order(monkeypatch, measure):
     # blocks of 12 states at N = 5: 12 + 12 + 6, each drawn as a whole chunk
     monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 64)
     task_rng, loop_rng = RngStream(47, 0), RngStream(47, 0)
-    values = estimators._coherence_task("pure", 5, measure)(task_rng, 30)
+    values = estimators._coherence_task("pure", 5, measure)([task_rng], 30)[0]
     expected = np.concatenate([_unblocked_pure(loop_rng, 5, b, measure) for b in (12, 12, 6)])
     assert np.array_equal(values, expected)
     assert np.array_equal(task_rng.uniform(5), loop_rng.uniform(5))

@@ -125,6 +125,21 @@ def test_skip_lands_where_the_draw_would(offset, k):
      '-0.08996316600151104, 0.0432127070042835, 0.2616025082464572], '
      '"im": [0.0, -0.18300519850087957, -0.04920122733054282, 0.18300519850087957, '
      '0.0, 0.01603618422395865, 0.04920122733054282, -0.01603618422395865, 0.0]}\n'),
+    # the reduced pure-stream benchmark invocations at workload seed 1, and
+    # chunks of 700 ending in a short one; recorded before the engine evaluated
+    # chunks in groups
+    (["mc", "--ensemble", "pure", "--dim", "2", "--samples", "200000",
+      "--seed", "719562267642190970"],
+     "ensemble,N,measure,mean,stderr,samples,seed\n"
+     "pure,2,skew,0.3333012709721843,0.00033327903995514604,200000,719562267642190970\n"),
+    (["tail", "--ensemble", "pure", "--dim", "29", "--epsilon", "0.3", "--samples", "20000",
+      "--seed", "6374312356877527388"],
+     "ensemble,N,epsilon,frequency,bound,samples,seed\n"
+     "pure,29,0.3,0.0,0.4841543723669481,20000,6374312356877527388\n"),
+    (["mc", "--ensemble", "pure", "--dim", "2", "--samples", "30000", "--seed", "5",
+      "--chunk", "700"],
+     "ensemble,N,measure,mean,stderr,samples,seed\n"
+     "pure,2,skew,0.3329804594378862,0.0008608476806664775,30000,5\n"),
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected

@@ -264,9 +264,9 @@ def test_stats_oracles_match_hand_rolled_block_loop(oracle, values, entries, n, 
     while done < samples:
         b = min(block, samples - done)
         pooled.append(values(ref_rng, n, b))
-        stats = merge_stats(stats, stats_of(pooled[-1]))
+        stats = merge_stats(stats, stats_of(pooled[-1][None])[0])
         done += b
     assert [len(p) for p in pooled] == [256, 256, 37]
-    assert est == _finish(stats)
+    assert est == _finish([stats])
     assert est.mean == pytest.approx(np.concatenate(pooled).mean(), rel=1e-12)
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))

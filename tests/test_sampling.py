@@ -24,6 +24,38 @@ def test_streams_differ_across_indices_and_seeds():
     assert not np.array_equal(base, RngStream(2, 0).uniform(32))
 
 
+@pytest.mark.parametrize("seed, index", [(7, 0), (7, 1), (7, 2**64 - 1), (2**64 + 7, 5)])
+def test_rekeyed_stream_is_the_new_stream(seed, index):
+    # three draws leave one Philox output buffered: the re-key must drop it
+    # and start the counter over, and the seed is masked to 64 bits as in
+    # the constructor
+    stream = RngStream(99, 4)
+    stream.uniform(3)
+    stream._rekey(seed, index)
+    expected = RngStream(seed, index).uniform(9)
+    assert np.array_equal(stream.uniform(9), expected)
+    assert np.array_equal(RngStream(seed % 2**64, index).uniform(9), expected)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_column_sum_has_the_bits_of_numpy_sum(n):
+    # numpy adds up to 7 entries in order; from 8 on _column_sum is numpy's sum
+    e = RngStream(61, n).exponential(200_000 * n).reshape(-1, n)
+    for x in (e, e * e):
+        assert np.array_equal(sampling._column_sum(x), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 29])
+def test_populations_of_several_streams_are_those_of_each(n):
+    together = [RngStream(67, k) for k in range(3)]
+    apart = [RngStream(67, k) for k in range(3)]
+    stacked = sampling.haar_populations_batch(together, n, 50)
+    each = [sampling.haar_populations_batch(stream, n, 50) for stream in apart]
+    assert np.array_equal(stacked, np.concatenate(each))
+    for a, b in zip(together, apart):
+        assert np.array_equal(a.uniform(5), b.uniform(5))
+
+
 @pytest.mark.parametrize("method", ["uniform", "exponential"])
 def test_real_draws_hold_one_buffer_plus_one_slice(method):
     # numpy copies an input that overlaps its output; scaling slice by slice
