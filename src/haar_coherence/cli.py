@@ -17,8 +17,11 @@ from .sampling import RngStream, haar_pure_batch, haar_unitary_batch, hs_mixed_b
 
 _THREADS_ENV = "HAAR_COHERENCE_THREADS"
 
-_CLOSED_FORM_MEASURES = ("pure-avg", "mixed-avg", "cr-pure-avg", "cr-mixed-avg",
-                         "max", "subspace-dim")
+# closed-form measures of the dimension alone, by closed_forms function name
+_CLOSED_FORMS = {"pure-avg": "avg_coherence_pure", "mixed-avg": "avg_coherence_mixed",
+                 "cr-pure-avg": "avg_cr_pure", "cr-mixed-avg": "avg_cr_mixed",
+                 "max": "max_coherence"}
+_CLOSED_FORM_MEASURES = (*_CLOSED_FORMS, "subspace-dim")
 
 
 def _checked(convert, accept, wanted):
@@ -35,8 +38,7 @@ def _checked(convert, accept, wanted):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
-                           "a finite positive number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer seed in [0, 2^64)")
 
 
@@ -65,32 +67,23 @@ def _cmd_closed_form(args):
     else:
         if args.epsilon is not None:
             raise ValueError(f"--epsilon does not apply to --measure {args.measure}")
-        value = {
-            "pure-avg": closed_forms.avg_coherence_pure,
-            "mixed-avg": closed_forms.avg_coherence_mixed,
-            "cr-pure-avg": closed_forms.avg_cr_pure,
-            "cr-mixed-avg": closed_forms.avg_cr_mixed,
-            "max": closed_forms.max_coherence,
-        }[args.measure](args.dim)
+        value = getattr(closed_forms, _CLOSED_FORMS[args.measure])(args.dim)
     print(json.dumps({"measure": args.measure, "N": args.dim, "value": value}))
     return 0
 
 
 def _cmd_mc(args):
-    est = estimators.estimate_average(args.ensemble, args.dim, args.samples,
-                                      args.seed, args.measure, args.chunk,
-                                      args.threads)
+    est = estimators.estimate_average(args.ensemble, args.dim, args.samples, args.seed,
+                                      args.measure, args.chunk, args.threads)
     record = {"ensemble": args.ensemble, "N": args.dim, "measure": args.measure,
-              "mean": est.mean, "stderr": est.stderr, "samples": est.n_samples,
-              "seed": args.seed}
+              "mean": est.mean, "stderr": est.stderr, "samples": est.n_samples, "seed": args.seed}
     _print_record(record, args.format)
     return 0
 
 
 def _cmd_tail(args):
-    tail = estimators.estimate_tail(args.ensemble, args.dim, args.epsilon,
-                                    args.samples, args.seed, args.chunk,
-                                    args.threads)
+    tail = estimators.estimate_tail(args.ensemble, args.dim, args.epsilon, args.samples,
+                                    args.seed, args.chunk, args.threads)
     record = {"ensemble": args.ensemble, "N": args.dim, "epsilon": tail.epsilon,
               "frequency": tail.frequency, "bound": tail.bound,
               "samples": tail.n_samples, "seed": args.seed}
@@ -123,8 +116,7 @@ def _cmd_verify(args):
     results = verification.run_suite(args.suite, args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  {r.detail}")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}")
     failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} checks passed (suite={args.suite}, "
           f"seed={args.seed})")
@@ -141,11 +133,9 @@ def _cmd_sample(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="haar-coherence",
-        description="Skew information-based coherence of random quantum states: "
-                    "closed forms, samplers, Monte Carlo experiments and "
-                    "verification oracles.")
+    parser = argparse.ArgumentParser(prog="haar-coherence", description=(
+        "Skew information-based coherence of random quantum states: closed forms, samplers, "
+        "Monte Carlo experiments and verification oracles."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, text):

@@ -28,9 +28,12 @@ _LEVY_DENOM = 9.0 * math.pi**3 * math.log(2.0)
 MOMENT_GATE = 1e-9
 
 # Largest series moment table (degrees 0..n-1). The series-vs-quadrature gap
-# is 4.9e-11 here, 20x inside MOMENT_GATE; the series costs O(n^3), ~11 s at
+# is 4.9e-11 here, 20x inside MOMENT_GATE; the series costs O(n^3), ~2.5 s at
 # this size on one x86-64 core, and minutes at a few thousand.
 MAX_TABLE_SIZE = 1024
+
+# Padded terms per exact sum of short series rows together, and per scratch slice.
+_SUM_BLOCK = 1 << 14
 
 
 class PrecisionError(RuntimeError):
@@ -60,23 +63,56 @@ def _gamma_ratios(q: float, m: int) -> np.ndarray:
                      for r in range(m)])
 
 
-def _moment_row(k: int, l: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """I_kl(q) for each degree in the array l (all >= k), from b[m] = binom(q, m)
-    and g[r] = Gamma(q+r+1)/r!.
+def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each column of the 2-D array terms, bit for bit; overwrites terms.
 
-    Entry l is (-1)^(k+l) times the sum of (b[k-r] b[l-r]) g[r] over r = 0..k.
-    Each sum is an fsum, which keeps the alternating series accurate at large
-    degrees; being correctly rounded, it also makes every entry independent of
-    the order the terms are visited in.
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, Lemma 3.3):
+    for sigma = 2^k, columns shorter than 2^m and |p| < 2^-m sigma, q = (sigma + p) - sigma
+    and p - q split p exactly, all partial sums of q are exact, and |p - q| <= 2^-53 sigma
+    bounds the next pass at sigma 2^(m-53). Two exact pass totals add, IEEE-rounded, to
+    fsum's correctly rounded sum (ties to even); fsum adds three or more. Columns outside
+    the lemma (a term non-finite, none nonzero, sigma overflowing or 2^-106 sigma subnormal)
+    take fsum of themselves, so values, errors and signed zeros are fsum's. Later passes
+    stay error-free into the subnormal range, where sigma ends at 0 and q = p.
     """
-    r = np.arange(k + 1)
-    terms = (b[k - r] * b[np.subtract.outer(l, r)]) * g[r]
-    sums = np.array([math.fsum(t.tolist()) for t in terms])
-    return np.where((k + l) % 2, -sums, sums)
+    m = len(terms).bit_length()
+    top = np.maximum(terms.max(axis=0), -terms.min(axis=0))
+    # top = f 2^e with 1/2 <= f < 1 gives sigma = 2^(m+e), capped at 2^1023 where outside
+    sigma = np.ldexp(2.0**m, np.frexp(np.minimum(top, 2.0 ** (1022 - m)))[1])
+    # inside: 2^(-917-m) <= top < 2^(1023-m); NaN is outside, as clip keeps it
+    outside = np.clip(top, 2.0 ** (-917 - m), 2.0 ** (1023 - m) * (1 - 2.0**-53)) != top
+    fsums = {i: math.fsum(terms[:, i].tolist()) for i in np.flatnonzero(outside)}
+    terms[:, outside], sigma[outside] = 0.0, 0.0
+    step = max(1, _SUM_BLOCK // terms.shape[1])  # rows per slice of q
+    q, totals = np.empty((min(step, len(terms)), terms.shape[1])), []
+    while True:
+        total = 0.0
+        for start in range(0, len(terms), step):
+            p, qs = terms[start:start + step], q[:len(terms) - start]
+            np.add(p, sigma, out=qs)
+            qs -= sigma
+            p -= qs
+            total = total + qs.sum(axis=0)
+        totals.append(total)
+        if not terms.any():
+            break
+        sigma *= 2.0 ** (m - 53)
+    # a column is t1 + t2 unless a later pass found more
+    sums = np.sum(totals, axis=0)
+    for i in np.flatnonzero(np.any(totals[2:], axis=0)):
+        sums[i] = math.fsum(t[i] for t in totals)
+    sums[list(fsums)] = list(fsums.values())
+    return sums
 
 
 def moment_table(n: int, q: float) -> MomentTable:
     """Symmetric n x n moment table for degrees 0..n-1, from the series.
+
+    Entry (k, l) is (-1)^(k+l) times the sum of (b[k-r] b[l-r]) g[r] over r = 0..k, with
+    b[m] = binom(q, m) and g[r] = Gamma(q+r+1)/r!, summed exactly and rounded once, which
+    keeps the alternating series accurate at large degrees. Rows k..stop-1 are summed in one
+    call, as columns of length stop padded with -0.0, the additive identity: it changes
+    neither an exact sum nor fsum's result, signed zeros included.
 
     Refuses n above MAX_TABLE_SIZE before allocating anything: the series
     costs O(n^3) and the table O(n^2) memory.
@@ -87,13 +123,27 @@ def moment_table(n: int, q: float) -> MomentTable:
         raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
-    b = _gen_binomial_array(q, n - 1)
-    g = _gamma_ratios(q, n)
-    values = np.empty((n, n))
-    for k in range(n):
-        row = _moment_row(k, np.arange(k, n), b, g)
-        values[k, k:] = row
-        values[k:, k] = row
+    b, g = _gen_binomial_array(q, n - 1), _gamma_ratios(q, n)
+    # window[x, r] = b[x - r] for r <= x: a strided view of b behind n - 1 zeros
+    window = np.ndarray((n, n), buffer=np.concatenate([np.zeros(n - 1), b]),
+                        offset=8 * (n - 1), strides=(8, -8))
+    values, k = np.empty((n, n)), 0
+    while k < n:
+        stop, entries = k + 1, n - k
+        while stop < n and (stop + 1) * (entries + n - stop) <= _SUM_BLOCK:
+            stop, entries = stop + 1, entries + n - stop
+        terms, at = np.full((stop, entries), -0.0), 0  # a column per entry (j, l), l = j..n-1
+        for j in range(k, stop):
+            pairs = window[j:, :j + 1].T  # pairs[r, l - j] = b[l - r]; column 0 holds b[j - r]
+            np.multiply(pairs[:, :1], pairs, out=terms[:j + 1, at:at + n - j])
+            at += n - j
+        terms *= g[:stop, None]
+        sums = _exact_column_sums(terms)
+        for j in range(k, stop):
+            row, sums = sums[:n - j], sums[n - j:]
+            np.negative(row[1::2], out=row[1::2])
+            values[j, j:] = values[j:, j] = row
+        k = stop
     values.flags.writeable = False
     return MomentTable(q=q, values=values)
 
@@ -107,8 +157,9 @@ def validated_half_moment_table(n: int) -> MomentTable:
     """
     from . import oracles  # function-level import breaks the module cycle
 
+    # quadrature first, for a lower peak; the series refuses an oversized table before it
+    quadrature = oracles.quadrature_moment_table(n, 0.5) if n <= MAX_TABLE_SIZE else None
     series = moment_table(n, 0.5)
-    quadrature = oracles.quadrature_moment_table(n, 0.5)
     gap = float(np.abs(series.values - quadrature.values).max())
     if not gap <= MOMENT_GATE:  # NaN fails too
         raise PrecisionError(
@@ -117,11 +168,11 @@ def validated_half_moment_table(n: int) -> MomentTable:
 
 
 def moment_bracket(values: np.ndarray) -> float:
-    """(sum_k I_kk)^2 - sum_{k,l} I_kl^2 with compensated summation."""
-    diag = math.fsum(np.diagonal(values))
+    """(sum_k I_kk)^2 - sum_{k,l} I_kl^2, each sum exact and rounded once (as math.fsum)."""
+    diag = float(_exact_column_sums(np.diagonal(values)[:, None].copy())[0])
     # float_power squares through libm's pow, as Python's ** on a float does;
     # `values**2` multiplies instead and rounds ~0.1% of entries differently.
-    squares = math.fsum(np.float_power(values, 2.0).ravel())
+    squares = float(_exact_column_sums(np.float_power(values, 2.0).reshape(-1, 1))[0])
     return diag * diag - squares
 
 
@@ -140,8 +191,7 @@ def avg_coherence_mixed(n: int) -> float:
     _require_dim(n)
     if n == 1:
         return 0.0
-    table = validated_half_moment_table(n)
-    return 1.0 - (2.0 + moment_bracket(table.values) / n**2) / (n + 1)
+    return 1.0 - (2.0 + moment_bracket(validated_half_moment_table(n).values) / n**2) / (n + 1)
 
 
 def vandermonde_sqrt_integral(n: int) -> float:

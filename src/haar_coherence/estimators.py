@@ -81,8 +81,7 @@ def stats_of(values: np.ndarray) -> list:
 
 def merge_stats(a, b):
     """Pairwise combination of two (count, mean, M2) partials."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
     if na == 0:
         return b
     if nb == 0:
@@ -245,10 +244,9 @@ def _coherence_task(ensemble: str, n: int, measure: str):
         block = _block_states(n * n)
 
         def task(streams, count):
-            return np.stack([
-                np.concatenate([kernel(hs_mixed_batch(rng, n, b))
-                                for b in _block_sizes(count, block)])
-                for rng in streams])
+            return np.stack([np.concatenate([kernel(hs_mixed_batch(rng, n, b))
+                                             for b in _block_sizes(count, block)])
+                             for rng in streams])
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
     task.group_entries = n if ensemble == "pure" else 0
@@ -266,13 +264,11 @@ def _check_block_memory(ensemble: str, n: int, samples: int, chunk_size: int, th
     chunks = -(-samples // chunk_size)
     group = min(chunks, _group_chunks(chunk_size, per_state if ensemble == "pure" else 0))
     entries = group * min(count, _block_states(per_state)) * per_state
-    in_flight = min(threads, chunks)
-    needed = entries * _BYTES_PER_ENTRY * in_flight
+    needed = entries * _BYTES_PER_ENTRY * min(threads, chunks)  # groups in flight
     if needed > MAX_BLOCK_BYTES:
-        raise ValueError(
-            f"draw blocks of {ensemble} states at N = {n} need about "
-            f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB limit; "
-            f"use a smaller dimension, chunk size or thread count")
+        raise ValueError(f"draw blocks of {ensemble} states at N = {n} need about "
+                         f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB "
+                         f"limit; use a smaller dimension, chunk size or thread count")
 
 
 def estimate_average(ensemble: str, n: int, samples: int, seed: int,

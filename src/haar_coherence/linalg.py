@@ -184,8 +184,4 @@ def partial_trace_b(rho_ab, dim_a: int, dim_b: int) -> np.ndarray:
 def swap_operator(n: int) -> np.ndarray:
     """Swap operator F on an n*n tensor product: F|i,j> = |j,i>."""
     _require_dim(n)
-    f = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            f[i * n + j, j * n + i] = 1.0
-    return f
+    return np.eye(n * n).reshape(n, n, n, n).swapaxes(2, 3).reshape(n * n, n * n)

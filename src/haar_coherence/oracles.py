@@ -181,11 +181,9 @@ def twofold_twirl(a, n: int) -> np.ndarray:
     if a.shape != (n * n, n * n):
         raise ValueError(f"expected a {n * n}x{n * n} matrix, got shape {a.shape}")
     f = swap_operator(n)
-    tr_a = np.trace(a)
-    tr_af = np.trace(a @ f)
+    tr_a, tr_af = np.trace(a), np.trace(a @ f)
     denom = n * (n * n - 1)
-    coeff_id = (n * tr_a - tr_af) / denom
-    coeff_swap = (n * tr_af - tr_a) / denom
+    coeff_id, coeff_swap = (n * tr_a - tr_af) / denom, (n * tr_af - tr_a) / denom
     return coeff_id * np.eye(n * n) + coeff_swap * f
 
 

@@ -56,13 +56,16 @@ class RngStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        self._bits = np.random.Philox()
+        self._bits, self._seed = np.random.Philox(), None
         self._rekey(master_seed, stream_index)
 
     def _rekey(self, master_seed: int, stream_index: int) -> None:
         """Become RngStream(master_seed, stream_index) at its start: a Philox stream is its
-        key, a zero counter and an empty buffer (3.5 us to set, 19 to construct on x86-64)."""
-        k0 = _splitmix64(_splitmix64(int(master_seed) & _MASK64) ^ (int(stream_index) & _MASK64))
+        key, a zero counter and an empty buffer (3.5 us to set, 19 to construct on x86-64).
+        The mix of the master seed is kept from the last call, as the engine re-keys with one."""
+        if master_seed != self._seed:
+            self._seed, self._mixed = master_seed, _splitmix64(int(master_seed) & _MASK64)
+        k0 = _splitmix64(self._mixed ^ (int(stream_index) & _MASK64))
         self._bits.state = {"bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
                             "uinteger": 0, "buffer": np.zeros(4, np.uint64),
                             "state": {"counter": np.zeros(4, np.uint64),

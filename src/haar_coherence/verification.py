@@ -104,8 +104,7 @@ def check_moment_routes():
 
 
 def check_moment_values():
-    targets = {(0, 0): math.sqrt(math.pi) / 2,
-               (0, 1): -math.sqrt(math.pi) / 4,
+    targets = {(0, 0): math.sqrt(math.pi) / 2, (0, 1): -math.sqrt(math.pi) / 4,
                (1, 1): 7 * math.sqrt(math.pi) / 8}
     series = closed_forms.moment_table(2, 0.5).values
     quad = oracles.quadrature_moment_table(2, 0.5).values
@@ -135,12 +134,8 @@ def check_vandermonde_mc(seed):
 
 
 def check_twirl_fixed_points():
-    ok = True
-    for n in (2, 3):
-        eye = np.eye(n * n, dtype=complex)
-        f = swap_operator(n).astype(complex)
-        ok &= np.array_equal(oracles.twofold_twirl(eye, n), eye)
-        ok &= np.array_equal(oracles.twofold_twirl(f, n), f)
+    ok = all(np.array_equal(oracles.twofold_twirl(a, n), a) for n in (2, 3)
+             for a in (np.eye(n * n, dtype=complex), swap_operator(n).astype(complex)))
     return CheckResult("twirl closed form fixes identity and swap exactly", ok,
                        "bit-exact fixed points" if ok else "fixed point violated")
 
@@ -217,8 +212,7 @@ def check_lipschitz_pure(seed):
     worst = 0.0
     for n in _DIMS:
         rng = _stream(seed, f"lippure-{n}")
-        psi = haar_pure_batch(rng, n, 10**4)
-        phi = haar_pure_batch(rng, n, 10**4)
+        psi, phi = (haar_pure_batch(rng, n, 10**4) for _ in range(2))
         delta = np.abs(skew_coherence_pure(psi) - skew_coherence_pure(phi))
         slope = closed_forms.lipschitz_constant_pure(n)
         allowed = slope * np.linalg.norm(psi - phi, axis=1) + 1e-12
@@ -232,12 +226,10 @@ def check_lipschitz_bipartite(seed):
     slope = closed_forms.lipschitz_constant_mixed()
     for n in (2, 3):
         rng = _stream(seed, f"lipmix-{n}")
-        psi = haar_pure_batch(rng, n * n, 1000)
-        phi = haar_pure_batch(rng, n * n, 1000)
+        psi, phi = (haar_pure_batch(rng, n * n, 1000) for _ in range(2))
         dist = np.linalg.norm(psi - phi, axis=1)
         full = np.abs(skew_coherence_pure(psi) - skew_coherence_pure(phi))
-        rho = hermitian_part(partial_trace_b(_outer(psi), n, n))
-        sigma = hermitian_part(partial_trace_b(_outer(phi), n, n))
+        rho, sigma = (hermitian_part(partial_trace_b(_outer(v), n, n)) for v in (psi, phi))
         reduced = np.abs(skew_coherence(rho) - skew_coherence(sigma))
         worst = _worst(worst, full - slope * dist - 1e-10, reduced - slope * dist - 1e-10)
     return CheckResult("bipartite Lipschitz bound, slope 4 (10^3 pairs, N=2,3)",
@@ -262,10 +254,8 @@ def check_convexity(seed):
     worst = -1.0
     for n in (2, 3, 4):
         rng = _stream(seed, f"convex-{n}")
-        rho = hs_mixed_batch(rng, n, 1000)
-        sigma = hs_mixed_batch(rng, n, 1000)
-        c_rho = skew_coherence(rho)
-        c_sigma = skew_coherence(sigma)
+        rho, sigma = (hs_mixed_batch(rng, n, 1000) for _ in range(2))
+        c_rho, c_sigma = skew_coherence(rho), skew_coherence(sigma)
         for p in (0.25, 0.5, 0.75):
             mix = skew_coherence(hermitian_part(p * rho + (1 - p) * sigma))
             worst = _worst(worst, mix - p * c_rho - (1 - p) * c_sigma)
@@ -293,8 +283,7 @@ def check_haar_invariance(seed):
         rotation = haar_unitary_batch(_stream(seed, f"haarinv-rot-{n}"), n, 1)[0]
         plain = haar_pure_batch(_stream(seed, f"haarinv-a-{n}"), n, 10**4)
         rotated = haar_pure_batch(_stream(seed, f"haarinv-b-{n}"), n, 10**4) @ rotation.T
-        values_plain = skew_coherence_pure(plain)
-        values_rot = skew_coherence_pure(rotated)
+        values_plain, values_rot = skew_coherence_pure(plain), skew_coherence_pure(rotated)
         gap = abs(values_plain.mean() - values_rot.mean())
         combined = math.hypot(values_plain.std(ddof=1), values_rot.std(ddof=1)) / 100.0
         if not gap <= 4 * combined:
@@ -326,29 +315,12 @@ def check_mean_agreement(seed):
     for ensemble, analytic in (("pure", closed_forms.avg_coherence_pure),
                                ("mixed", closed_forms.avg_coherence_mixed)):
         for n in (2, 4):
-            est = estimate_average(ensemble, n, 2 * 10**4,
-                                   _subseed(seed, f"agree-{ensemble}-{n}"))
+            est = estimate_average(ensemble, n, 2 * 10**4, _subseed(seed, f"agree-{ensemble}-{n}"))
             z = abs(est.mean - analytic(n)) / est.stderr
             if not z <= 4:
                 failures.append(f"{ensemble} N={n} off by {z:.1f} sigma")
     return CheckResult("MC ensemble means vs closed forms (2x10^4 samples)",
                        not failures, "; ".join(failures) or "all within 4 sigma")
-
-
-def _oracle_jobs(seed: int):
-    # (check, args) pairs, built per call so each check is looked up by its
-    # module-global name when the suite runs
-    return [(check_quadrature_exactness, ()), (check_orthogonality, ()),
-            (check_moment_routes, ()), (check_moment_values, ()),
-            (check_vandermonde_mc, (seed,)), (check_twirl_fixed_points, ()),
-            (check_twirl_mc, (seed,)), (check_spectral_average, (seed,))]
-
-
-def _invariant_jobs(seed: int):
-    return [(check, (seed,)) for check in (
-        check_range, check_projector_sum, check_pure_mixed_consistency, check_lipschitz_pure,
-        check_lipschitz_bipartite, check_polygamy, check_convexity, check_extremes,
-        check_haar_invariance, check_sampler_consistency, check_mean_agreement)]
 
 
 def _fail_closed(check, args) -> CheckResult:
@@ -362,17 +334,11 @@ def _fail_closed(check, args) -> CheckResult:
 
 
 def _workers() -> int:
-    """Pool size of run_suite: two, or one when only one CPU is usable.
-
-    The checks spend most of their time in numpy calls that release the
-    interpreter lock, so two workers nearly halve `verify --suite all` on a
-    2-core host.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+    """Pool size of run_suite: two, or one when only one CPU is usable. The checks spend most
+    of their time in numpy calls that release the interpreter lock, so two workers nearly
+    halve `verify --suite all` on a 2-core host."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    return min(2, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def run_suite(suite: str, seed: int):
@@ -385,11 +351,17 @@ def run_suite(suite: str, seed: int):
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    jobs = []
-    if suite in ("oracles", "all"):
-        jobs.extend(_oracle_jobs(seed))
-    if suite in ("invariants", "all"):
-        jobs.extend(_invariant_jobs(seed))
+    # (check, args) pairs, built per call so each check is looked up by its
+    # module-global name when the suite runs
+    oracle = [(check_quadrature_exactness, ()), (check_orthogonality, ()),
+              (check_moment_routes, ()), (check_moment_values, ()),
+              (check_vandermonde_mc, (seed,)), (check_twirl_fixed_points, ()),
+              (check_twirl_mc, (seed,)), (check_spectral_average, (seed,))]
+    invariant = [(check, (seed,)) for check in (
+        check_range, check_projector_sum, check_pure_mixed_consistency, check_lipschitz_pure,
+        check_lipschitz_bipartite, check_polygamy, check_convexity, check_extremes,
+        check_haar_invariance, check_sampler_consistency, check_mean_agreement)]
+    jobs = oracle * (suite != "invariants") + invariant * (suite != "oracles")
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=_workers()) as pool:
         futures = [pool.submit(_fail_closed, check, args) for check, args in jobs]
         return [future.result() for future in futures]

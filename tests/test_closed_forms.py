@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,95 @@ def test_moment_table_matches_elementwise_route():
     pairs = np.random.default_rng(2024).integers(0, n, size=(40, 2)).tolist()
     for k, l in pairs + [[0, 0], [0, n - 1], [n - 1, 0], [n - 1, n - 1]]:
         assert table.values[k, l] == reference_moment(k, l, 0.5)
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.0, 0.5, 1.3])
+def test_moment_tables_have_the_bytes_of_the_elementwise_route(q):
+    # entry (k, l) does not depend on the table size, so one 40 x 40 reference
+    # serves every n; q = 0 has exact zeros whose signs must match too
+    reference = np.array([[reference_moment(k, l, q) for l in range(40)] for k in range(40)])
+    for n in range(1, 41):
+        assert cf.moment_table(n, q).values.tobytes() == reference[:n, :n].tobytes()
+
+
+def fsum_bits(column):
+    return np.float64(math.fsum(column)).tobytes()
+
+
+def exact_sums_bits(columns):
+    height = max(len(c) for c in columns)
+    terms = np.full((height, len(columns)), -0.0)  # -0.0 pads, as moment_table does
+    for i, column in enumerate(columns):
+        terms[:len(column), i] = column
+    return [np.float64(s).tobytes() for s in cf._exact_column_sums(terms)]
+
+
+EXACT_SUM_CASES = [
+    [1.0, 2.0**-80, -1.0, 2.0**-200],  # three passes and more
+    [2.0**-200, 1.0, 2.0**-80, -1.0, 3.0 * 2.0**-300],
+    [1.0, 2.0**-53],  # half-way: ties to even, down
+    [1.0 + 2.0**-52, 2.0**-53],  # half-way: ties to even, up
+    [1.0, 2.0**-53, 2.0**-160],  # just above half-way, found by a later pass
+    [-1.0, -(2.0**-53)],
+    [1.0, -1.0],  # exact cancellation
+    [0.1, 0.2, 0.3, -0.1, -0.2, -0.3],
+    [1e300, 1.0, -1e300],
+    [0.0, 0.0], [-0.0, -0.0], [-0.0], [0.0, -0.0, -0.0], [-0.0, 1.0, -1.0],
+    [3.25],  # width 1
+    [5e-324, 5e-324, -1e-320],  # subnormal terms
+    [1.0, 2.0**-1000],  # passes run down to the subnormal range
+    [1e-300, 7e-310, -1e-300],
+    [1e305, 1e305, -2e305, 3.0],  # sigma would overflow
+    [math.inf, 1.0], [-math.inf, 2.0, -math.inf], [math.nan, 1.0],
+]
+
+
+@pytest.mark.parametrize("column", EXACT_SUM_CASES)
+def test_exact_column_sums_are_fsum_bit_for_bit(column):
+    if any(math.isnan(x) for x in column):
+        assert math.isnan(cf._exact_column_sums(np.array(column)[:, None])[0])
+    else:
+        assert exact_sums_bits([column]) == [fsum_bits(column)]
+
+
+def test_exact_column_sums_of_many_columns_at_once():
+    # every case of the list side by side, padded to one height, plus random
+    # columns whose heights sit at and around powers of two
+    rng = np.random.default_rng(7)
+    columns = [c for c in EXACT_SUM_CASES if not any(math.isnan(x) for x in c)]
+    for m in (3, 4, 7, 10):
+        for height in (2**m - 1, 2**m, 2**m + 1):
+            columns.append((rng.standard_normal(height)
+                            * 2.0 ** rng.integers(-60, 60, height)).tolist())
+    assert exact_sums_bits(columns) == [fsum_bits(c) for c in columns]
+
+
+@pytest.mark.parametrize("column", [[math.inf, -math.inf], [1.7e308, 1.7e308],
+                                    [1.7e308, 1.7e308, -1.7e308]])
+def test_exact_column_sums_raise_as_fsum_does(column):
+    with pytest.raises((OverflowError, ValueError)) as fsum_error:
+        math.fsum(column)
+    with pytest.raises(fsum_error.type, match=re.escape(str(fsum_error.value))):
+        cf._exact_column_sums(np.array(column)[:, None])
+
+
+def test_exact_column_sums_agree_with_fsum_on_random_columns():
+    rng = np.random.default_rng(11)
+    columns = []
+    for trial in range(300):
+        height = int(rng.integers(1, 80))
+        scale = 2.0 ** rng.integers(-400, 400, height) if trial % 2 else 1.0
+        column = rng.standard_normal(height) * scale
+        if trial % 3 == 0:  # cancelling halves
+            column = np.concatenate([column, -column[: height // 2]])
+        columns.append(column.tolist())
+    assert exact_sums_bits(columns) == [fsum_bits(c) for c in columns]
+
+
+def test_mixed_closed_forms_are_python_floats():
+    # figure1 writes the analytic column with repr, which numpy scalars change
+    assert type(cf.moment_bracket(cf.moment_table(5, 0.5).values)) is float
+    assert type(cf.avg_coherence_mixed(4)) is float
 
 
 def test_avg_coherence_pure():

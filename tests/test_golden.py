@@ -149,6 +149,11 @@ def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     (7, 0.0, "511f95ffdf7d99b8d724b255997dfd243aec9684e3c6258642da794fcc212f59"),
     (64, 0.5, "6c2eb2e8562bd46c6ab9077ec7ff9accf32fe21e22ec558577dea4d289baa2ef"),
     (200, 1.3, "d03c1f8e2f54d1276138114c821a337251e28515c22d31603c2177fa9a9e7c17"),
+    # recorded before the series was summed by exact extraction: a large table,
+    # signed zeros (q = 0) and a negative weight exponent
+    (512, 0.5, "61443cdef9de32cc156c89b161e374da1f051264bf6bdec57b6d68d09e471646"),
+    (300, 0.0, "2bc9f8f10336d117296f64848c781136e92cdbca2dc6d7f3c2b9e8509384035d"),
+    (130, -0.5, "0b66bbffd45c5d595c7f74599a14af6b0691d9378b54ec01fe9afcf85ae3fe12"),
 ])
 def test_series_moment_table_digest(n, q, digest):
     raw = moment_table(n, q).values.tobytes()
@@ -159,6 +164,7 @@ def test_series_moment_table_digest(n, q, digest):
     (2, "0.1369837924839712"),
     (128, "0.2773010972480947"),
     (256, "0.27839937725103636"),
+    (512, "0.2789471646365037"),  # recorded before exact extraction
 ])
 def test_mixed_avg_closed_form_is_golden(capsys, n, value):
     out = run_cli(capsys, "closed-form", "--measure", "mixed-avg", "--dim", str(n))

@@ -37,6 +37,16 @@ def test_rekeyed_stream_is_the_new_stream(seed, index):
     assert np.array_equal(RngStream(seed % 2**64, index).uniform(9), expected)
 
 
+def test_rekey_across_master_seeds_keeps_no_stale_seed_mix():
+    # the stream keeps the mix of the last master seed: switching seeds back
+    # and forth on one object must key every stream afresh
+    stream = RngStream(3, 0)
+    for seed in (11, 2**64 - 5, 11, 3, 2**64 - 5):
+        for index in (0, 1, 7, 2**64 - 1):
+            stream._rekey(seed, index)
+            assert np.array_equal(stream.uniform(6), RngStream(seed, index).uniform(6))
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_column_sum_has_the_bits_of_numpy_sum(n):
     # numpy adds up to 7 entries in order; from 8 on _column_sum is numpy's sum
