@@ -59,8 +59,12 @@ def _gen_binomial_array(q: float, m: int) -> np.ndarray:
 def _gamma_ratios(q: float, m: int) -> np.ndarray:
     # Gamma(q + r + 1) / r! for r = 0..m-1, in log space: the ratio overflows
     # a double near degree 170 otherwise. libm's exp and lgamma pin the bits.
-    return np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
-                     for r in range(m)])
+    try:
+        return np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
+                         for r in range(m)])
+    except OverflowError:
+        raise ValueError(f"weight exponent q = {q} is too large: "
+                         "Gamma(q + r + 1)/r! overflows a double") from None
 
 
 def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
@@ -123,7 +127,7 @@ def moment_table(n: int, q: float) -> MomentTable:
         raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
-    b, g = _gen_binomial_array(q, n - 1), _gamma_ratios(q, n)
+    g, b = _gamma_ratios(q, n), _gen_binomial_array(q, n - 1)
     # window[x, r] = b[x - r] for r <= x: a strided view of b behind n - 1 zeros
     window = np.ndarray((n, n), buffer=np.concatenate([np.zeros(n - 1), b]),
                         offset=8 * (n - 1), strides=(8, -8))
@@ -157,8 +161,8 @@ def validated_half_moment_table(n: int) -> MomentTable:
     """
     from . import oracles  # function-level import breaks the module cycle
 
-    # quadrature first, for a lower peak; the series refuses an oversized table before it
-    quadrature = oracles.quadrature_moment_table(n, 0.5) if n <= MAX_TABLE_SIZE else None
+    # quadrature first, for a lower peak; it refuses an oversized table as the series does
+    quadrature = oracles.quadrature_moment_table(n, 0.5)
     series = moment_table(n, 0.5)
     gap = float(np.abs(series.values - quadrature.values).max())
     if not gap <= MOMENT_GATE:  # NaN fails too

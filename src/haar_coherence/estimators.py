@@ -18,7 +18,7 @@ import numpy as np
 from . import closed_forms
 from .coherence import _shannon, _skew, relative_entropy_coherence, skew_coherence
 from .linalg import _require_dim
-from .sampling import RngStream, haar_populations_batch, hs_mixed_batch
+from .sampling import RngStream, _hs_mixed_slices, haar_populations_batch
 
 DEFAULT_CHUNK_SIZE = 1024
 
@@ -27,14 +27,14 @@ DEFAULT_CHUNK_SIZE = 1024
 _BLOCK_DRAWS = 1 << 21
 
 # Draws of a group of chunks that run_chunked hands a groupable task: 8 chunks of 1024 states
-# at N = 2, one at N = 29. No bit depends on it. At 2^15 glibc returned and re-faulted a group's
-# temporaries each group (mc N = 2, 8e6: 72805 minor page faults vs 595; 0.85 vs 0.70 s).
+# at N = 2, one at N = 29. No bit depends on it. The pure task draws a group into a reused
+# buffer, so larger groups no longer re-fault their temporaries (glibc did so from 2^15 on).
 _GROUP_DRAWS = 1 << 14
 
 # Peak bytes of one draw block per complex entry drawn. Measured peaks of one
-# full 2^21-entry block (ru_maxrss, N = 2-32): 24 B for pure states
-# (populations only), 40 B (rel-ent) to 53 B (skew, eigh) for mixed ones;
-# 96 B covers both with room.
+# full 2^21-entry block (ru_maxrss, N = 2-32): 24 B for pure states (populations
+# only); mixed blocks hold 8 B (the radii) plus one slice, 40-53 B when they were
+# drawn whole. 96 B covers both with room.
 _BYTES_PER_ENTRY = 96
 
 # Largest estimated working set of the draw blocks in flight at once; above it
@@ -226,26 +226,30 @@ def _coherence_task(ensemble: str, n: int, measure: str):
     density matrices with skew_coherence and relative_entropy_coherence. The
     states are drawn in blocks of at most _BLOCK_DRAWS entries per stream; a
     kernel raises on an invalid state. The pure kernels work row by row, so one
-    call covers the blocks of all streams; the mixed ones go stream by stream.
+    call covers the blocks of all streams, drawn into one buffer per worker; the
+    mixed ones go stream by stream, a slice of each block at a time.
     """
     if measure not in ("skew", "rel-ent"):
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
     if ensemble == "pure":
         kernel = _skew if measure == "skew" else _shannon
-        block = _block_states(n)
+        block, worker = _block_states(n), threading.local()  # a draw buffer per pool thread
 
         def task(streams, count):
+            size = len(streams) * min(count, block) * n
+            if getattr(worker, "buffer", np.empty(0)).size < size:
+                worker.buffer = np.empty(size)
             return np.concatenate([
-                kernel(haar_populations_batch(streams, n, b)).reshape(len(streams), b)
-                for b in _block_sizes(count, block)], axis=1)
+                kernel(haar_populations_batch(streams, n, b, worker.buffer))
+                .reshape(len(streams), b) for b in _block_sizes(count, block)], axis=1)
 
     elif ensemble == "mixed":
         kernel = skew_coherence if measure == "skew" else relative_entropy_coherence
         block = _block_states(n * n)
 
         def task(streams, count):
-            return np.stack([np.concatenate([kernel(hs_mixed_batch(rng, n, b))
-                                             for b in _block_sizes(count, block)])
+            return np.stack([np.concatenate([kernel(states) for b in _block_sizes(count, block)
+                                             for states in _hs_mixed_slices(rng, n, b)])
                              for rng in streams])
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")

@@ -13,11 +13,6 @@ EIG_CLAMP = 1e-10
 # keeps sqrt_psd of a projector exact to machine precision.
 REL_CLAMP = 1e-13
 
-# hermitian_eigvalsh makes dozens of elementwise passes per closed-form slice;
-# slices of this many matrices keep the temporaries in cache (2.3x faster
-# than one pass over 2.3e5 3x3 matrices).
-_CLOSED_FORM_SLICE = 16384
-
 
 def _require_dim(n: int, least: int = 1):
     if n < least:
@@ -116,12 +111,7 @@ def hermitian_eigvalsh(m) -> np.ndarray:
     if n == 1:
         return m[..., 0].real.astype(float)
     kernel = _eigvalsh_2 if n == 2 else _eigvalsh_3
-    stack = m.reshape(-1, n, n)
-    values = np.empty(stack.shape[:1] + (n,))
-    for start in range(0, len(stack), _CLOSED_FORM_SLICE):
-        part = slice(start, start + _CLOSED_FORM_SLICE)
-        values[part] = kernel(stack[part])
-    return values.reshape(m.shape[:-1])
+    return kernel(m.reshape(-1, n, n)).reshape(m.shape[:-1])
 
 
 def _require_psd(values):

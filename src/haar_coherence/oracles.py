@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import MomentTable
+from .closed_forms import MAX_TABLE_SIZE, MomentTable
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _finish,
                          _single_threaded_blas, stats_of)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
-from .sampling import RngStream, haar_unitary_batch, hs_mixed_batch
+from .sampling import RngStream, _hs_mixed_slices, haar_unitary_batch
 
 # Unitaries per haar_unitary_batch call of the twirl MC. Block boundaries fix
 # where each draw splits the stream, so a different size moves the result.
@@ -78,8 +78,12 @@ def _scaled_rule(alpha: float, n_nodes: int):
     the largest nodes of a 100+ point rule are ~1e-220 and their eigenvector
     components underflow when squared.
     """
+    try:
+        mu0 = math.exp(math.lgamma(alpha + 1.0))
+    except OverflowError:
+        raise ValueError(f"weight exponent {alpha} is too large: "
+                         f"Gamma({alpha} + 1) overflows a double") from None
     nodes = _laguerre_nodes(alpha, n_nodes)
-    mu0 = math.exp(math.lgamma(alpha + 1.0))
     cur, s = _half_exp(nodes)
     cur = cur / math.sqrt(mu0)
     prev = np.zeros_like(nodes)
@@ -124,9 +128,12 @@ def _scaled_laguerre_rows(n_rows: int, x: np.ndarray) -> np.ndarray:
 
 
 def quadrature_moment_table(n: int, q: float) -> MomentTable:
-    """Full moment table for degrees 0..n-1 from one shared (n + 2)-node rule."""
+    """Full moment table for degrees 0..n-1 from one shared (n + 2)-node rule;
+    refuses n above MAX_TABLE_SIZE, as the series does, before allocating."""
     if n < 1:
         raise ValueError(f"table size must be >= 1, got {n}")
+    if n > MAX_TABLE_SIZE:
+        raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
     nodes, scaled = _scaled_rule(q, n + 2)
     rows = _scaled_laguerre_rows(n, nodes)
     values = (rows * scaled) @ rows.T
@@ -215,7 +222,7 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResu
     _require_dim(n)
 
     def values(b):
-        spectrum = _require_psd(hermitian_eigvalsh(hs_mixed_batch(rng, n, b)))
-        return np.sqrt(spectrum).sum(axis=1) ** 2
+        return np.concatenate([np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(axis=1) ** 2
+                               for states in _hs_mixed_slices(rng, n, b)])
 
     return _blocked_mean(values, samples, n * n)

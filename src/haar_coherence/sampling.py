@@ -22,16 +22,12 @@ _MASK64 = (1 << 64) - 1
 # at n = 32. The twirl oracle, the hot caller, runs at n = 2 and 3.
 _GRAM_SCHMIDT_MAX_DIM = 3
 
-# hs_mixed_batch forms its Gram matrices max(1, ⌊_GRAM_SLICE_ENTRIES / n⌋)
-# states at a time, so each step's complex temporaries hold about 256·n KiB.
-_GRAM_SLICE_ENTRIES = 16384
-
 # Up to this order hs_mixed_batch forms G G† entry by entry, not by a batched
 # matmul: on 2^21 drawn entries (2-core x86-64, OpenBLAS 0.3.31) the step took
 # 0.05 vs 0.28 s at n = 2 and 0.06 vs 0.19 s at n = 3, results <= 3.4e-16 apart.
 _ELEMENTWISE_GRAM_MAX_DIM = 3
 
-_UNIFORM_SLICE = 65536  # draws per scaling step of uniform and of the phase (512 KiB)
+_UNIFORM_SLICE = 65536  # draws per phase step of complex_normal and per mixed-state slice
 
 
 def _splitmix64(z: int) -> int:
@@ -57,6 +53,7 @@ class RngStream:
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         self._bits, self._seed = np.random.Philox(), None
+        self._uniforms = np.random.Generator(self._bits)
         self._rekey(master_seed, stream_index)
 
     def _rekey(self, master_seed: int, stream_index: int) -> None:
@@ -70,55 +67,46 @@ class RngStream:
                             "uinteger": 0, "buffer": np.zeros(4, np.uint64),
                             "state": {"counter": np.zeros(4, np.uint64),
                                       "key": np.array([k0, _splitmix64(k0)], np.uint64)}}
+        # outputs left of the four Philox computes per counter step: n draws leave (left - n) % 4
+        self._left = 0
 
-    def uniform(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1)."""
-        raw = self._bits.random_raw(n)
-        raw >>= np.uint64(11)
-        out = raw.view(np.float64)
-        # the 53-bit integers convert exactly, so scaling into the same buffer
-        # gives the bits of (raw >> 11) * 2**-53; numpy copies an input that
-        # overlaps its output first, so slices keep that copy to one slice
-        for s in range(0, n, _UNIFORM_SLICE):
-            np.multiply(raw[s:s + _UNIFORM_SLICE], 2.0 ** -53, out=out[s:s + _UNIFORM_SLICE])
-        return out
+    def uniform(self, n: int, out=None) -> np.ndarray:
+        """n doubles uniform on [0, 1), (raw >> 11) 2^-53 of the next n outputs, into `out`."""
+        self._left = (self._left - n) % 4
+        return self._uniforms.random(out=np.empty(n) if out is None else out)
 
     def complex_normal(self, n: int) -> np.ndarray:
         """n iid standard complex normals, E|z|^2 = 1 (Re/Im variance 1/2 each)."""
-        # radius = sqrt(-log1p(-u1)) and z = radius * exp(2j pi u2) in place, 24 B
-        # per draw: the phase uniforms go slice by slice into z.imag, scaled by
-        # 2 pi 2^-53 at once, which is 2 pi u2 bit for bit (2^-53 scales exactly)
         radius = self.exponential(n)
         np.sqrt(radius, out=radius)
-        z = np.zeros(n, dtype=complex)
+        z = np.empty(n, dtype=complex)
         for s in range(0, n, _UNIFORM_SLICE):
-            raw = self._bits.random_raw(min(_UNIFORM_SLICE, n - s))
-            raw >>= np.uint64(11)
-            np.multiply(raw, 2 * np.pi * 2.0 ** -53, out=z.imag[s:s + _UNIFORM_SLICE])
-            del raw  # else it lives on while the next slice is drawn
-        np.exp(z, out=z)
-        return np.multiply(radius, z, out=z)
+            self._polar(radius[s:s + _UNIFORM_SLICE], z[s:s + _UNIFORM_SLICE])
+        return z
 
-    def exponential(self, n: int) -> np.ndarray:
+    def _polar(self, radius: np.ndarray, out: np.ndarray) -> None:
+        """out = radius * exp(2j pi u) with u the next len(radius) uniforms, in place."""
+        u = self.uniform(len(radius))
+        out.real = 0.0
+        np.multiply(u, 2 * np.pi, out=out.imag)
+        del u  # else it lives on beside the casting buffer of the radius product
+        np.exp(out, out=out)
+        np.multiply(radius, out, out=out)
+
+    def exponential(self, n: int, out=None) -> np.ndarray:
         """n iid Exponential(1) variates by inverse transform, -log1p(-u), in place."""
-        u = self.uniform(n)
+        u = self.uniform(n, out)
         np.log1p(np.negative(u, out=u), out=u)
         return np.negative(u, out=u)
 
     def _skip(self, n: int) -> None:
-        """Leave the stream where uniform(n) would, without drawing it.
-
-        Philox yields its 64-bit outputs four per counter step: those still
-        buffered are dropped, whole steps are jumped by `advance` (which also
-        empties the buffer), and the last partial step is drawn.
-        """
-        buffered = 4 - self._bits.state["buffer_pos"]
-        if n <= buffered:
-            self._bits.random_raw(n)
-            return
-        rest = n - buffered
-        self._bits.advance(rest // 4)
-        self._bits.random_raw(rest % 4)
+        """Leave the stream where uniform(n) would, without drawing it: past the buffered
+        outputs, whole counter steps are jumped by `advance`, which empties the buffer."""
+        if n > self._left:
+            self._bits.advance((n - self._left) // 4)
+            n, self._left = (n - self._left) % 4, 0
+        self._left = (self._left - n) % 4
+        self._bits.random_raw(n)
 
 
 def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
@@ -128,7 +116,7 @@ def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def haar_populations_batch(rng, n: int, count: int) -> np.ndarray:
+def haar_populations_batch(rng, n: int, count: int, out=None) -> np.ndarray:
     """(count, n) populations |psi_k|^2 of the states haar_pure_batch draws.
 
     The squared radius of a polar Box-Muller normal is the Exponential(1)
@@ -137,15 +125,18 @@ def haar_populations_batch(rng, n: int, count: int) -> np.ndarray:
     which is skipped: the stream is left where haar_pure_batch leaves it.
 
     Given a list of streams, it stacks `count` states of each in list order
-    and normalizes them in one pass, row by row: the bits of one call each.
+    and normalizes them in one pass, row by row: the bits of one call each;
+    in place in the float buffer `out` if given.
     """
     _require_dim(n)
-    blocks = []
-    for stream in rng if isinstance(rng, list) else [rng]:
-        blocks.append(stream.exponential(count * n).reshape(count, n))
-        stream._skip(count * n)
-    e = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-    return e / _column_sum(e)[:, None]
+    streams = rng if isinstance(rng, list) else [rng]
+    size = count * n
+    e = (np.empty(len(streams) * size) if out is None else out)[:len(streams) * size]
+    for at, stream in zip(range(0, e.size, size), streams):
+        stream.exponential(size, e[at:at + size])
+        stream._skip(size)
+    e = e.reshape(-1, n)
+    return np.divide(e, _column_sum(e)[:, None], out=e)
 
 
 def _gram_schmidt(g: np.ndarray) -> np.ndarray:
@@ -187,10 +178,15 @@ def _column_sum(x: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(x, -1, 0))
 
 
-def _elementwise_gram(block: np.ndarray) -> None:
-    """Overwrite each matrix G of the block with G G† / Tr(G G†) entry by entry: the
-    real diagonal sum_k |G_ik|^2, the upper triangle sum_k G_ik conj(G_jk), its conjugate."""
+def _gram(block: np.ndarray) -> np.ndarray:
+    """Overwrite each matrix G of a (b, n, n) block with G G† / Tr(G G†) and return it; up to
+    _ELEMENTWISE_GRAM_MAX_DIM entry by entry: the real diagonal sum_k |G_ik|^2, the upper
+    triangle sum_k G_ik conj(G_jk), its conjugate."""
     n = block.shape[-1]
+    if n > _ELEMENTWISE_GRAM_MAX_DIM:
+        w = block @ np.conj(np.swapaxes(block, 1, 2))
+        w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
+        return np.divide(w, np.einsum("bii->b", w).real[:, None, None], out=block)
     upper_i, upper_j = np.triu_indices(n, 1)
     diagonal = _column_sum(block.real ** 2 + block.imag ** 2)
     upper = _column_sum(block[:, upper_i] * block[:, upper_j].conj())
@@ -200,6 +196,26 @@ def _elementwise_gram(block: np.ndarray) -> None:
     block[:, i, i] = diagonal / trace
     block[:, upper_i, upper_j] = upper
     block[:, upper_j, upper_i] = upper.conj()
+    return block
+
+
+def _hs_mixed_slices(rng: RngStream, n: int, count: int):
+    """The `count` matrices of hs_mixed_batch as (b, n, n) slices, each overwritten by the
+    next: the radii of all count·n² normals are drawn whole, as complex_normal draws them,
+    then each slice's phases, next in the stream. So only the radii and a slice are held.
+
+    A slice holds max(1, ⌊2^16/n²⌋) states; ⌊2^14/n⌋ for n <= 3, as the elementwise Gram
+    step's complex products round by the slice length (numpy's SIMD and scalar loops).
+    """
+    entries = n * n
+    step = max(1, _UNIFORM_SLICE // (n * max(n, _ELEMENTWISE_GRAM_MAX_DIM + 1))) * entries
+    radius = rng.exponential(count * entries)
+    np.sqrt(radius, out=radius)
+    g = np.empty(min(step, radius.size), dtype=complex)
+    for start in range(0, radius.size, step):
+        part = radius[start:start + step]
+        rng._polar(part, g[:part.size])
+        yield _gram(g[:part.size].reshape(-1, n, n))
 
 
 def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
@@ -207,22 +223,12 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
 
     Gram construction G G† / Tr(G G†) with G an n x n complex Gaussian matrix,
     which is distributed exactly as the partial trace of a Haar bipartite pure
-    state on an n*n product space. The Gram and trace steps run slice by slice
-    and overwrite the drawn block, so the temporaries stay small; each matrix
-    sees the same operations as on the whole block. Each matrix is exactly
-    Hermitian with a real diagonal, as the coherence kernels require, so
-    hermitian_part returns it unchanged bit for bit.
+    state on an n*n product space (Życzkowski & Sommers 2001), formed slice by
+    slice: 24 B per entry plus one slice. Each matrix is exactly Hermitian with a
+    real diagonal, so hermitian_part returns it unchanged bit for bit.
     """
     _require_dim(n)
-    g = rng.complex_normal(count * n * n).reshape(count, n, n)
-    step = max(1, _GRAM_SLICE_ENTRIES // n)
-    for start in range(0, count, step):
-        block = g[start:start + step]
-        if n <= _ELEMENTWISE_GRAM_MAX_DIM:
-            _elementwise_gram(block)
-            continue
-        w = block @ np.conj(np.swapaxes(block, 1, 2))
-        w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
-        trace = np.einsum("bii->b", w).real
-        np.divide(w, trace[:, None, None], out=block)
-    return g
+    rho, at = np.empty((count, n, n), dtype=complex), 0
+    for block in _hs_mixed_slices(rng, n, count):
+        rho[at:at + len(block)], at = block, at + len(block)
+    return rho

@@ -128,6 +128,14 @@ def test_exact_column_sums_agree_with_fsum_on_random_columns():
     assert exact_sums_bits(columns) == [fsum_bits(c) for c in columns]
 
 
+def test_moment_table_refuses_a_weight_exponent_it_cannot_represent():
+    # Gamma(q + r + 1)/r! overflows a double once q + r reaches ≈ 171; q <= -1 has no moments
+    for q in (300.0, 1e308, -1.0):
+        with pytest.raises(ValueError, match="weight exponent"):
+            cf.moment_table(5, q)
+    assert np.isfinite(cf.moment_table(5, 160.0).values).all()
+
+
 def test_mixed_closed_forms_are_python_floats():
     # figure1 writes the analytic column with repr, which numpy scalars change
     assert type(cf.moment_bracket(cf.moment_table(5, 0.5).values)) is float

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import xlogy
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import cli, estimators
+from haar_coherence import cli, estimators, sampling
 from haar_coherence.coherence import (relative_entropy_coherence,
                                       skew_coherence)
 from haar_coherence.estimators import (_coherence_task, estimate_average,
@@ -249,6 +249,36 @@ def test_group_working_set_is_within_its_estimate(measure):
     assert peak <= estimators._GROUP_DRAWS * estimators._BYTES_PER_ENTRY
 
 
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_mixed_task_holds_the_radii_and_one_slice(measure):
+    # a 1024-state block at N = 32 holds its radii (8 MiB) and one slice of 64
+    # states with its temporaries; drawn and reduced whole it peaked at 41 MiB
+    task = _coherence_task("mixed", 32, measure)
+    task([RngStream(5, 0)], 2)  # rel-ent imports scipy on its first call
+    tracemalloc.start()
+    try:
+        task([RngStream(5, 0)], 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
+    # one state per slice, or slices longer than a draw block: the same bytes
+    # (up to N = 3 the elementwise Gram step rounds by the slice length, which
+    # the sampler therefore keeps fixed there)
+    def run():
+        return [estimate_average("mixed", n, 1500, seed=2, measure=measure, chunk_size=700)
+                for measure in ("skew", "rel-ent")]
+
+    expected = run()
+    for slice_draws in (1, 2 * estimators._BLOCK_DRAWS):
+        monkeypatch.setattr(sampling, "_UNIFORM_SLICE", slice_draws)
+        assert run() == expected
+
+
 def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch):
     # with the limit at one full block (2^21 entries) any chunk is admitted:
     # the estimate counts at most one block of states per chunk in flight
@@ -311,16 +341,25 @@ def test_pure_task_draws_blocks_in_order(monkeypatch, measure):
 
 
 @pytest.mark.parametrize("ensemble, sampler", [("pure", "haar_populations_batch"),
-                                               ("mixed", "hs_mixed_batch")])
+                                               ("mixed", "_hs_mixed_slices")])
 def test_mc_fails_closed_on_nan_state(monkeypatch, ensemble, sampler):
     draw = getattr(estimators, sampler)
 
-    def one_nan_state(rng, n, count):
-        states = draw(rng, n, count)
+    def one_nan_state(rng, n, count, *buffer):
+        states = draw(rng, n, count, *buffer)
         states[count // 2] = np.nan
         return states
 
-    monkeypatch.setattr(estimators, sampler, one_nan_state)
+    def one_nan_state_in_slices(rng, n, count):
+        at = 0
+        for states in draw(rng, n, count):
+            if at <= count // 2 < at + len(states):
+                states[count // 2 - at] = np.nan
+            at += len(states)
+            yield states
+
+    monkeypatch.setattr(estimators, sampler,
+                        one_nan_state if ensemble == "pure" else one_nan_state_in_slices)
     for measure in ("skew", "rel-ent"):
         with pytest.raises(ValueError):
             estimate_average(ensemble, 3, 2000, seed=1, measure=measure)

@@ -72,6 +72,22 @@ def test_skip_lands_where_the_draw_would(offset, k):
     assert np.array_equal(skipped.uniform(9), drawn.uniform(9))
 
 
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_stream_counts_the_outputs_philox_buffers(offset):
+    # uniform is (raw >> 11) 2^-53 of the next raw outputs, and after any mix of
+    # draws and skips the stream's count of buffered outputs is Philox's own
+    rng, twin = RngStream(31, offset), np.random.Philox()
+    steps = [("uniform", offset), ("uniform", 1), ("complex_normal", 3), ("_skip", 6),
+             ("exponential", 5), ("_skip", 0), ("uniform", 70001), ("_skip", 4097),
+             ("complex_normal", 65537), ("exponential", 2), ("_skip", 3), ("uniform", 8193)]
+    for method, k in steps:
+        twin.state = rng._bits.state
+        values = getattr(rng, method)(k)
+        if method == "uniform":
+            assert np.array_equal(values, (twin.random_raw(k) >> np.uint64(11)) * 2.0**-53)
+        assert rng._left == 4 - rng._bits.state["buffer_pos"]
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["mc", "--ensemble", "pure", "--dim", "3", "--samples", "5000", "--seed", "7"],
      "ensemble,N,measure,mean,stderr,samples,seed\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ def test_rule_rejects_bad_arguments():
         oracles.gauss_laguerre_rule(-1.0, 4)
     with pytest.raises(ValueError):
         oracles.gauss_laguerre_rule(0.5, 0)
+    # the weight's mass Gamma(alpha + 1) overflows a double from alpha ≈ 171 on
+    with pytest.raises(ValueError, match="weight exponent 300.0"):
+        oracles.gauss_laguerre_rule(300.0, 4)
+
+
+def test_quadrature_table_refuses_oversized_table(monkeypatch):
+    # numpy unreachable from oracles: allocating before the check would raise
+    monkeypatch.setattr(oracles, "np", None)
+    with pytest.raises(ValueError, match=f"exceeds the supported maximum {cf.MAX_TABLE_SIZE}"):
+        oracles.quadrature_moment_table(100_000, 0.5)
 
 
 def plain_scaled_laguerre_rows(n_rows, x):
@@ -270,3 +281,16 @@ def test_stats_oracles_match_hand_rolled_block_loop(oracle, values, entries, n, 
     assert est == _finish([stats])
     assert est.mean == pytest.approx(np.concatenate(pooled).mean(), rel=1e-12)
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+
+
+def test_spectral_mc_holds_the_radii_and_one_slice():
+    # blocks of 2^21 draws hold their radii (16 MiB) and one slice; drawn and
+    # reduced whole, 3·10^5 states at N = 3 peaked at 48.6 MiB
+    oracles.trace_sqrt_squared_mc(3, 10, RngStream(2, 0))
+    tracemalloc.start()
+    try:
+        oracles.trace_sqrt_squared_mc(3, 3 * 10**5, RngStream(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20

@@ -252,20 +252,31 @@ def test_gram_and_bipartite_routes_agree():
     assert ks_2samp(_coherence_of(direct), _coherence_of(gram)).statistic < 0.02
 
 
-@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
 def test_hs_mixed_slices_match_unsliced_formula(n):
-    # three full Gram slices and a short last one, against the whole-block formula
-    count = 3 * (sampling._GRAM_SLICE_ENTRIES // n) + 5
-    g = RngStream(31, n).complex_normal(count * n * n).reshape(count, n, n)
+    # two full slices and a short last one, against the whole block's normals drawn at
+    # once and its Gram formula: the same bytes, and the stream left at the same place
+    per_slice = max(1, sampling._UNIFORM_SLICE // (n * max(n, 4)))
+    count = 2 * per_slice + 5
+    whole, sliced = RngStream(31, n), RngStream(31, n)
+    g = whole.complex_normal(count * n * n).reshape(count, n, n)
     w = g @ np.conj(np.swapaxes(g, 1, 2))
     w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
     expected = w / np.einsum("bii->b", w).real[:, None, None]
-    rho = hs_mixed_batch(RngStream(31, n), n, count)
+    slices = [states.copy() for states in sampling._hs_mixed_slices(sliced, n, count)]
+    assert [len(states) for states in slices] == [per_slice, per_slice, 5]
+    rho = np.concatenate(slices)
+    assert np.array_equal(whole.uniform(5), sliced.uniform(5))
+    assert np.array_equal(rho, hs_mixed_batch(RngStream(31, n), n, count))
     if n > sampling._ELEMENTWISE_GRAM_MAX_DIM:
         assert np.array_equal(rho, expected)
         return
     # contract v3: up to N = 3 the Gram step is elementwise, within round-off
-    # of the matmul formula, exactly Hermitian with an exactly real diagonal
+    # of the matmul formula, exactly Hermitian with an exactly real diagonal;
+    # its bits depend on the slice, so the whole block's runs slice by slice
+    for start in range(0, count, per_slice):
+        sampling._gram(g[start:start + per_slice])
+    assert np.array_equal(rho, g)
     assert np.abs(rho - expected).max() <= 1e-15
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, 1, 2)))
     assert not np.diagonal(rho, axis1=1, axis2=2).imag.any()

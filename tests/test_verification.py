@@ -67,7 +67,14 @@ def test_validated_invariant_check_rejects_nan_state(monkeypatch):
 def test_spectral_mc_fails_closed_on_nan_state(monkeypatch):
     # LAPACK's eigvalsh returns finite eigenvalues for some NaN matrices;
     # the closed-form spectra give NaN, which the PSD check refuses
-    monkeypatch.setattr(oracles, "hs_mixed_batch", _with_one_nan_state(oracles.hs_mixed_batch))
+    draw = oracles._hs_mixed_slices
+
+    def one_nan_state_per_slice(rng, n, count):
+        for states in draw(rng, n, count):
+            states[len(states) // 2] = np.nan
+            yield states
+
+    monkeypatch.setattr(oracles, "_hs_mixed_slices", one_nan_state_per_slice)
     for n in (2, 3):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not PSD"):
             oracles.trace_sqrt_squared_mc(n, 1000, RngStream(5, n))
