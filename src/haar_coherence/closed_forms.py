@@ -241,8 +241,9 @@ def levy_bound(sphere_dim: int, epsilon: float, lipschitz: float) -> float:
 
 
 def tail_bound_pure(n: int, epsilon: float) -> float:
-    """Pure-state tail bound 2 exp(-n^3 eps^2 / (72 pi^3 ln 2)): the sphere
-    bound on S^{2n-1} with the pure-state Lipschitz constant 4/n."""
+    """The paper's pure-state tail bound 2 exp(-n^3 eps^2 / (72 pi^3 ln 2)): the
+    sphere bound on S^{2n-1} with the paper's Lipschitz constant 4/n, which is
+    false from n = 4 on (see lipschitz_constant_pure), so the bound is unproven."""
     _require_dim(n, 2)
     return levy_bound(2 * n - 1, epsilon, lipschitz_constant_pure(n))
 
@@ -255,8 +256,10 @@ def tail_bound_mixed(n: int, epsilon: float) -> float:
 
 
 def coherent_subspace_dim(n: int, epsilon: float) -> int:
-    """Dimension floor((n^3 eps^2 - 1) / (3095 (3 - ln(eps n)))) of a subspace
-    whose pure states almost always carry near-typical coherence.
+    """The paper's dimension floor((n^3 eps^2 - 1) / (3095 (3 - ln(eps n)))) of a
+    subspace whose pure states almost always carry near-typical coherence; its
+    n^3 presumably comes from the constant 4/n, false from n = 4 on (see
+    lipschitz_constant_pure).
 
     Only defined for 0 < eps < 1/n. A non-positive numerator clamps to 0,
     since a subspace dimension cannot be negative.
@@ -271,7 +274,10 @@ def coherent_subspace_dim(n: int, epsilon: float) -> int:
 
 
 def lipschitz_constant_pure(n: int) -> float:
-    """Lipschitz scale 4/n used by the pure-state concentration bound."""
+    """The paper's pure-state Lipschitz constant 4/n, which is false. Along
+    psi(t) = (cos t, sin t, 0, ...), C = sin^2(2t)/2 has slope 1 at t = pi/8 for
+    every n, so 4/n fails from n = 5 on along that family, and from n = 4 on over
+    the sphere; check_lipschitz_pure fails at 10 of seeds 0-159 for that reason."""
     _require_dim(n)
     return 4.0 / n
 

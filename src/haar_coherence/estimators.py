@@ -22,13 +22,13 @@ from .sampling import RngStream, _hs_mixed_slices, haar_populations_batch
 
 DEFAULT_CHUNK_SIZE = 1024
 
-# Draws per RNG call in the blocked loops of chunks and single-stream oracles;
+# Draws per stream and call of run_chunked's draw blocks and the oracles' blocked loops;
 # fixed so the stream consumption order (hence the result) never depends on memory.
 _BLOCK_DRAWS = 1 << 21
 
-# Draws of a group of chunks that run_chunked hands a groupable task: 8 chunks of 1024 states
-# at N = 2, one at N = 29. No bit depends on it. The pure task draws a group into a reused
-# buffer, so larger groups no longer re-fault their temporaries (glibc did so from 2^15 on).
+# Draws of a group of chunks that run_chunked hands a task with group_entries: 8 pure chunks
+# of 1024 states at N = 2 (4 mixed), one at N = 29. No bit depends on it. The pure task's
+# reused draw buffer keeps larger groups from re-faulting temporaries (glibc did from 2^15).
 _GROUP_DRAWS = 1 << 14
 
 # Peak bytes of one draw block per complex entry drawn. Measured peaks of one
@@ -168,9 +168,33 @@ def _single_threaded_blas():
                 set_(_pin_saved)
 
 
-def _group_chunks(chunk_size: int, entries: int) -> int:
-    """Chunks per group of a task drawing `entries` per state; 0: not groupable."""
-    return max(1, _GROUP_DRAWS // (chunk_size * entries)) if entries else 1
+def _block_states(entries: int) -> int:
+    """States per draw block of a task drawing `entries` per state: at least one."""
+    return max(1, _BLOCK_DRAWS // entries)
+
+
+def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int):
+    """(jobs, block) of run_chunked for a task drawing `entries` per state (0:
+    no group_entries): a job (first chunk, chunks, states per chunk) is a group
+    of chunk streams, drawn at most `block` states per call. Refuses, before any
+    draw, runs whose blocks in flight (the first group's, on up to `threads`
+    workers) exceed MAX_BLOCK_BYTES."""
+    if total_samples < 1:
+        raise ValueError(f"total_samples must be >= 1, got {total_samples}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    full, rest = divmod(total_samples, chunk_size)
+    per_group = max(1, _GROUP_DRAWS // (chunk_size * entries)) if entries else 1
+    jobs = [(first, min(per_group, full - first), chunk_size)
+            for first in range(0, full, per_group)] + [(full, 1, rest)] * (rest > 0)
+    block = _block_states(entries) if entries else chunk_size
+    _, length, count = jobs[0]
+    needed = length * min(count, block) * entries * _BYTES_PER_ENTRY * min(threads, len(jobs))
+    if needed > MAX_BLOCK_BYTES:
+        raise ValueError(f"draw blocks of {entries} entries per state need about "
+                         f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB "
+                         f"limit; use a smaller dimension, chunk size or thread count")
+    return jobs, block
 
 
 def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -182,18 +206,14 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     absorbs any remainder so the total sample count is respected exactly.
     A call gets one chunk's stream, or, if the task has `group_entries` (its
     draws per state), those of as many consecutive full chunks as fit in
-    _GROUP_DRAWS; workers re-key their streams. Threads and groups only change
-    wall time, as each chunk keeps its own statistics and they merge in chunk
-    order. While the pool runs, OpenBLAS runs one thread.
+    _GROUP_DRAWS and at most _BLOCK_DRAWS entries (one state or more) of each:
+    a larger chunk is drawn in blocks, one call each, in stream order. Workers
+    re-key their streams. Threads and groups only change wall time, as each
+    chunk keeps its own statistics and they merge in chunk order. While the
+    pool runs, OpenBLAS runs one thread.
     """
-    if total_samples < 1:
-        raise ValueError(f"total_samples must be >= 1, got {total_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    full, rest = divmod(total_samples, chunk_size)
-    per_group = _group_chunks(chunk_size, getattr(task, "group_entries", 0))
-    jobs = [(first, min(per_group, full - first), chunk_size)
-            for first in range(0, full, per_group)] + [(full, 1, rest)] * (rest > 0)
+    jobs, block = _schedule(total_samples, chunk_size, getattr(task, "group_entries", 0),
+                            threads)
     worker = threading.local()  # each pool thread keeps its own streams
 
     def one_group(job):
@@ -202,7 +222,9 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
         streams += [RngStream(master_seed) for _ in range(length - len(streams))]
         for index, stream in enumerate(streams[:length], first):
             stream._rekey(master_seed, index)
-        return stats_of(np.reshape(task(streams[:length], count), (length, count)))
+        values = [np.reshape(task(streams[:length], b), (length, b))
+                  for b in _block_sizes(count, block)]
+        return stats_of(values[0] if len(values) == 1 else np.concatenate(values, axis=1))
 
     # the statistics fold as the groups finish, so they are never all held at once
     if threads > 1:
@@ -211,68 +233,40 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     return _finish(stats for job in jobs for stats in one_group(job))
 
 
-def _block_states(entries: int) -> int:
-    """States per draw block of a task whose states take `entries` draws each:
-    at least one."""
-    return max(1, _BLOCK_DRAWS // entries)
-
-
 def _coherence_task(ensemble: str, n: int, measure: str):
     """task(streams, count) -> (len(streams), count): the measure on `count`
     states of the ensemble from each stream.
 
     Each ensemble pairs a batched sampler with the coherence kernels of what
     it draws: Haar populations with the pure-state formulas, Hilbert-Schmidt
-    density matrices with skew_coherence and relative_entropy_coherence. The
-    states are drawn in blocks of at most _BLOCK_DRAWS entries per stream; a
-    kernel raises on an invalid state. The pure kernels work row by row, so one
-    call covers the blocks of all streams, drawn into one buffer per worker; the
-    mixed ones go stream by stream, a slice of each block at a time.
+    density matrices with skew_coherence and relative_entropy_coherence; a
+    kernel raises on an invalid state. `group_entries`, the draws per state (N
+    or N²), lets run_chunked group chunks and split calls into draw blocks. The
+    pure kernels work row by row, so one call covers all streams, drawn into
+    one buffer per worker; the mixed ones go stream by stream, a slice at a time.
     """
     if measure not in ("skew", "rel-ent"):
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
     if ensemble == "pure":
         kernel = _skew if measure == "skew" else _shannon
-        block, worker = _block_states(n), threading.local()  # a draw buffer per pool thread
+        worker = threading.local()  # a draw buffer per pool thread
 
         def task(streams, count):
-            size = len(streams) * min(count, block) * n
-            if getattr(worker, "buffer", np.empty(0)).size < size:
-                worker.buffer = np.empty(size)
-            return np.concatenate([
-                kernel(haar_populations_batch(streams, n, b, worker.buffer))
-                .reshape(len(streams), b) for b in _block_sizes(count, block)], axis=1)
+            if getattr(worker, "buffer", np.empty(0)).size < len(streams) * count * n:
+                worker.buffer = np.empty(len(streams) * count * n)
+            return kernel(haar_populations_batch(streams, n, count, worker.buffer)).reshape(
+                len(streams), count)
 
     elif ensemble == "mixed":
         kernel = skew_coherence if measure == "skew" else relative_entropy_coherence
-        block = _block_states(n * n)
 
         def task(streams, count):
-            return np.stack([np.concatenate([kernel(states) for b in _block_sizes(count, block)
-                                             for states in _hs_mixed_slices(rng, n, b)])
+            return np.stack([np.concatenate([kernel(s) for s in _hs_mixed_slices(rng, n, count)])
                              for rng in streams])
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
-    task.group_entries = n if ensemble == "pure" else 0
+    task.group_entries = n if ensemble == "pure" else n * n
     return task
-
-
-def _check_block_memory(ensemble: str, n: int, samples: int, chunk_size: int, threads: int):
-    """Refuse, before anything is drawn, runs whose draw blocks exceed MAX_BLOCK_BYTES.
-
-    Both ensembles draw in blocks of at least one state; a group of several
-    pure chunks draws at most _GROUP_DRAWS. Up to `threads` groups are in flight.
-    """
-    count = min(chunk_size, samples)
-    per_state = n if ensemble == "pure" else n * n
-    chunks = -(-samples // chunk_size)
-    group = min(chunks, _group_chunks(chunk_size, per_state if ensemble == "pure" else 0))
-    entries = group * min(count, _block_states(per_state)) * per_state
-    needed = entries * _BYTES_PER_ENTRY * min(threads, chunks)  # groups in flight
-    if needed > MAX_BLOCK_BYTES:
-        raise ValueError(f"draw blocks of {ensemble} states at N = {n} need about "
-                         f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB "
-                         f"limit; use a smaller dimension, chunk size or thread count")
 
 
 def estimate_average(ensemble: str, n: int, samples: int, seed: int,
@@ -282,9 +276,7 @@ def estimate_average(ensemble: str, n: int, samples: int, seed: int,
     _require_dim(n)
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
-    task = _coherence_task(ensemble, n, measure)
-    _check_block_memory(ensemble, n, samples, chunk_size, threads)
-    return run_chunked(task, samples, chunk_size, seed, threads)
+    return run_chunked(_coherence_task(ensemble, n, measure), samples, chunk_size, seed, threads)
 
 
 def estimate_tail(ensemble: str, n: int, epsilon: float, samples: int, seed: int,
@@ -297,7 +289,7 @@ def estimate_tail(ensemble: str, n: int, epsilon: float, samples: int, seed: int
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     base = _coherence_task(ensemble, n, "skew")
-    _check_block_memory(ensemble, n, samples, chunk_size, threads)
+    _schedule(samples, chunk_size, base.group_entries, threads)  # refuse before the center
     pure = ensemble == "pure"
     center = (closed_forms.avg_coherence_pure if pure else closed_forms.avg_coherence_mixed)(n)
     bound = (closed_forms.tail_bound_pure if pure else closed_forms.tail_bound_mixed)(n, epsilon)

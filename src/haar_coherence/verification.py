@@ -97,10 +97,9 @@ def check_orthogonality():
 def check_moment_routes():
     series = closed_forms.moment_table(128, 0.5)
     quad = oracles.quadrature_moment_table(128, 0.5)
-    gap = float(np.abs(series.values - quad.values).max())
-    return CheckResult("moment table series vs quadrature (q=1/2, degrees <= 127)",
-                       gap <= closed_forms.MOMENT_GATE,
-                       f"max |series - quadrature| = {gap:.2e} (gate 1e-09)")
+    gap, gate = float(np.abs(series.values - quad.values).max()), closed_forms.MOMENT_GATE
+    return CheckResult("moment table series vs quadrature (q=1/2, degrees <= 127)", gap <= gate,
+                       f"max |series - quadrature| = {gap:.2e} (gate {gate:.0e})")
 
 
 def check_moment_values():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from haar_coherence import closed_forms as cf
+from haar_coherence.coherence import skew_coherence_pure
 
 
 def test_laguerre_moment_known_values():
@@ -248,6 +249,21 @@ def test_lipschitz_constants():
     assert cf.lipschitz_constant_pure(4) == 1.0
     assert cf.lipschitz_constant_pure(10**6) == pytest.approx(0.0, abs=1e-5)
     assert cf.lipschitz_constant_mixed() == 4.0
+
+
+@pytest.mark.parametrize("n", [5, 8, 16, 64])
+def test_paper_pure_lipschitz_constant_fails_along_a_two_level_family(n):
+    # along psi(t) = (cos t, sin t, 0, ...) the coherence is sin^2(2t)/2, whose
+    # slope at t = pi/8 is 1 at every N: above the paper's 4/N from N = 5 on
+    def coherence(t):
+        psi = np.zeros(n, dtype=complex)
+        psi[:2] = math.cos(t), math.sin(t)
+        return float(skew_coherence_pure(psi))
+
+    h = 1e-5
+    slope = (coherence(math.pi / 8 + h) - coherence(math.pi / 8 - h)) / (2 * h)
+    assert slope == pytest.approx(1.0, abs=1e-6)
+    assert slope > cf.lipschitz_constant_pure(n)
 
 
 def test_avg_cr_pure():

@@ -73,21 +73,25 @@ def test_run_chunked_hands_groups_of_chunk_streams(monkeypatch):
             for c, size in enumerate([100] * 10 + [50]))
 
 
-@pytest.mark.parametrize("n", [2, 7, 8, 29])
-def test_group_size_never_changes_a_bit(monkeypatch, n):
+@pytest.mark.parametrize("ensemble, n", [("pure", 2), ("pure", 7), ("pure", 8), ("pure", 29),
+                                         ("mixed", 2), ("mixed", 3)],
+                         ids=["2", "7", "8", "29", "mixed-2", "mixed-3"])
+def test_group_size_never_changes_a_bit(monkeypatch, ensemble, n):
     # 13 full chunks of 300 and a short one of 100, in groups of 1, 3 and
-    # every chunk; at the default, N = 2 takes all 13, N = 7 groups of 7, N = 8
-    # groups of 6 and N = 29 one chunk per group
+    # every chunk; at the default, pure N = 2 takes all 13, N = 7 groups of 7,
+    # N = 8 groups of 6 and N = 29 one chunk per group, mixed N = 2 all 13 and
+    # N = 3 groups of 6
     def runs():
-        return [estimate_average("pure", n, 4000, seed=8, measure=measure, chunk_size=300)
+        return [estimate_average(ensemble, n, 4000, seed=8, measure=measure, chunk_size=300)
                 for measure in ("skew", "rel-ent")] + [
-            estimate_tail("pure", n, 0.01, 4000, seed=8, chunk_size=300, threads=threads)
+            estimate_tail(ensemble, n, 0.01, 4000, seed=8, chunk_size=300, threads=threads)
             for threads in (1, 2)]
 
     default = runs()
     assert 0.0 < default[2].frequency < 1.0
+    entries = n if ensemble == "pure" else n * n
     for chunks in (1, 3, 14):
-        monkeypatch.setattr(estimators, "_GROUP_DRAWS", chunks * 300 * n)
+        monkeypatch.setattr(estimators, "_GROUP_DRAWS", chunks * 300 * entries)
         assert runs() == default
 
 
@@ -200,10 +204,16 @@ def test_mixed_task_matches_public_measures():
             assert abs(rel_values[i] - relative_entropy_coherence(rho)) < 1e-10
 
 
+def check_memory(ensemble, n, samples, chunk_size, threads):
+    """The engine's guard on the schedule of the ensemble's coherence task."""
+    entries = _coherence_task(ensemble, n, "skew").group_entries
+    estimators._schedule(samples, chunk_size, entries, threads)
+
+
 def test_block_memory_limit_counts_blocks_in_flight():
     # a one-state block of 22,369,621 pure entries sits just under the 2 GiB
     # estimate; one more entry, or two such blocks drawn at once, do not
-    check = estimators._check_block_memory
+    check = check_memory
     check("pure", 22_369_621, 2, 1, threads=1)
     check("pure", 22_369_621, 4, 1, threads=1)
     check("pure", 22_369_621, 2, 2, threads=2)  # one chunk: one worker busy
@@ -219,26 +229,30 @@ def test_block_memory_limit_counts_blocks_in_flight():
 
 
 def test_block_memory_counts_a_group_of_pure_chunks(monkeypatch):
-    # at N = 2, 8 chunks of 1024 states draw one group of 2^14 entries at once;
-    # mixed chunks are never grouped
+    # at N = 2, 8 pure chunks of 1024 states, or 4 mixed ones, draw one group
+    # of 2^14 entries at once
     group = estimators._GROUP_DRAWS * estimators._BYTES_PER_ENTRY
-    check = estimators._check_block_memory
+    check = check_memory
     monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", group)
     check("pure", 2, 8 * 1024, 1024, threads=1)
     check("pure", 2, 10**6, 1024, threads=1)
+    check("mixed", 2, 10**6, 1024, threads=1)
     with pytest.raises(ValueError, match="GiB limit"):
         check("pure", 2, 10**6, 1024, threads=2)
     monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", group - 1)
     with pytest.raises(ValueError, match="GiB limit"):
         check("pure", 2, 8 * 1024, 1024, threads=1)
     check("pure", 2, 7 * 1024, 1024, threads=1)
-    check("mixed", 2, 10**6, 1024, threads=1)
+    with pytest.raises(ValueError, match="GiB limit"):
+        check("mixed", 2, 4 * 1024, 1024, threads=1)
+    check("mixed", 2, 3 * 1024, 1024, threads=1)
 
 
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
 def test_group_working_set_is_within_its_estimate(measure):
     task = _coherence_task("pure", 2, measure)
-    streams = [RngStream(5, k) for k in range(estimators._group_chunks(1024, 2))]
+    _, chunks, _ = estimators._schedule(10**6, 1024, 2, threads=1)[0][0]  # the first group
+    streams = [RngStream(5, k) for k in range(chunks)]
     task(streams, 1024)  # rel-ent imports scipy on its first call
     tracemalloc.start()
     try:
@@ -283,7 +297,7 @@ def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch):
     # with the limit at one full block (2^21 entries) any chunk is admitted:
     # the estimate counts at most one block of states per chunk in flight
     full_block = estimators._BLOCK_DRAWS * estimators._BYTES_PER_ENTRY
-    check = estimators._check_block_memory
+    check = check_memory
     monkeypatch.setattr(estimators, "MAX_BLOCK_BYTES", full_block)
     for chunk in (1, 2**20, 2**20 + 1, 2**30):
         check("pure", 2, chunk, chunk, threads=1)
@@ -320,24 +334,48 @@ def test_pure_task_matches_haar_pure_batch(n, measure):
     assert np.array_equal(task_rng.uniform(5), batch_rng.uniform(5))
 
 
+def _calls_of(task, samples, chunk_size, seed):
+    """The values of each call run_chunked makes of `task`, in order."""
+    calls = []
+
+    def recording(streams, count):
+        calls.append(task(streams, count))
+        return calls[-1]
+
+    recording.group_entries = task.group_entries
+    run_chunked(recording, samples, chunk_size, seed)
+    return calls
+
+
 @pytest.mark.parametrize("n,count", [(2, 2**20), (3, 2**21 // 3), (1000, 2097)])
 def test_pure_task_is_one_draw_up_to_block_draws(n, count):
     # chunk x N <= 2^21: one block, the same bytes as drawing the chunk at once
-    task_rng, whole_rng = RngStream(43, n), RngStream(43, n)
-    values = estimators._coherence_task("pure", n, "skew")([task_rng], count)[0]
-    assert np.array_equal(values, _unblocked_pure(whole_rng, n, count, "skew"))
-    assert np.array_equal(task_rng.uniform(5), whole_rng.uniform(5))
+    calls = _calls_of(_coherence_task("pure", n, "skew"), count, count, seed=43)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], _unblocked_pure(RngStream(43, 0), n, count, "skew"))
 
 
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
 def test_pure_task_draws_blocks_in_order(monkeypatch, measure):
     # blocks of 12 states at N = 5: 12 + 12 + 6, each drawn as a whole chunk
     monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 64)
-    task_rng, loop_rng = RngStream(47, 0), RngStream(47, 0)
-    values = estimators._coherence_task("pure", 5, measure)([task_rng], 30)[0]
-    expected = np.concatenate([_unblocked_pure(loop_rng, 5, b, measure) for b in (12, 12, 6)])
-    assert np.array_equal(values, expected)
-    assert np.array_equal(task_rng.uniform(5), loop_rng.uniform(5))
+    calls = _calls_of(_coherence_task("pure", 5, measure), 30, 30, seed=47)
+    loop_rng = RngStream(47, 0)
+    expected = [_unblocked_pure(loop_rng, 5, b, measure) for b in (12, 12, 6)]
+    assert [call.shape for call in calls] == [(1, 12), (1, 12), (1, 6)]
+    assert np.array_equal(np.concatenate(calls, axis=1)[0], np.concatenate(expected))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_mixed_estimate_draws_blocks_in_order(monkeypatch, n, measure):
+    # blocks of 12 states: 12 + 12 + 6, each drawn as hs_mixed_batch draws it
+    kernel = skew_coherence if measure == "skew" else relative_entropy_coherence
+    monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 12 * n * n + n)
+    loop_rng = RngStream(53, 0)
+    expected = np.concatenate([kernel(hs_mixed_batch(loop_rng, n, b)) for b in (12, 12, 6)])
+    est = estimate_average("mixed", n, 30, seed=53, measure=measure, chunk_size=30)
+    assert est == estimators._finish(estimators.stats_of(expected[None]))
 
 
 @pytest.mark.parametrize("ensemble, sampler", [("pure", "haar_populations_batch"),

@@ -29,6 +29,13 @@ def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
         cf.avg_coherence_mixed(4)
 
 
+def test_moment_routes_reports_the_gate_it_tests(monkeypatch):
+    assert "(gate 1e-09)" in verification.check_moment_routes().detail
+    monkeypatch.setattr(cf, "MOMENT_GATE", 1e-20)
+    result = verification.check_moment_routes()
+    assert result.passed is False and result.detail.endswith("(gate 1e-20)")
+
+
 def test_spectral_average_fails_closed_on_nan_mean(monkeypatch):
     def nan_estimate(n, samples, rng):
         return EstimatorResult(mean=math.nan, stderr=1e-3, n_samples=samples)
