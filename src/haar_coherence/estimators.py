@@ -8,6 +8,7 @@ regardless of how many worker threads, or groups of chunks, execute them.
 
 import contextlib
 import functools
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -22,8 +23,8 @@ from .sampling import RngStream, _hs_mixed_slices, haar_populations_batch
 
 DEFAULT_CHUNK_SIZE = 1024
 
-# Draws per stream and call of run_chunked's draw blocks and the oracles' blocked loops;
-# fixed so the stream consumption order (hence the result) never depends on memory.
+# Draws per stream and call of every draw block that _block_stats folds, the engine's and
+# the oracles'; fixed so the stream consumption order (hence the result) never depends on memory.
 _BLOCK_DRAWS = 1 << 21
 
 # Draws of a group of chunks that run_chunked hands a task with group_entries: 8 pure chunks
@@ -37,10 +38,9 @@ _GROUP_DRAWS = 1 << 14
 # drawn whole. 96 B covers both with room.
 _BYTES_PER_ENTRY = 96
 
-# Largest estimated working set of the draw blocks in flight at once; above it
-# mc/tail refuse before sampling instead of failing with MemoryError. A quarter
-# of an 8 GB host: mixed N <= 4729 or pure N <= 22 M (one state per block), on
-# one thread.
+# Largest estimated working set of the draw blocks in flight at once; above it mc, tail
+# and sample refuse before drawing instead of failing with MemoryError. A quarter of an
+# 8 GB host: mixed N <= 4729 or pure N <= 22 M (one state per block), on one thread.
 MAX_BLOCK_BYTES = 2 << 30
 
 
@@ -98,6 +98,14 @@ def _block_sizes(total: int, block: int) -> list:
     return [block] * full + [rest] * (rest > 0)
 
 
+def _block_stats(draw, count: int, block: int) -> list:
+    """stats_of `count` columns of draw(b) -> (rows, b), b <= block, merged in stream order."""
+    if count < 1:
+        raise ValueError(f"need at least one sample, got {count}")
+    return functools.reduce(lambda stats, more: list(map(merge_stats, stats, more)),
+                            (stats_of(draw(b)) for b in _block_sizes(count, block)))
+
+
 def _finish(partials) -> EstimatorResult:
     """Estimate from (count, mean, M2) partials merged in the order given."""
     n, mean, m2 = functools.reduce(merge_stats, partials, (0, 0.0, 0.0))
@@ -121,8 +129,7 @@ def _openblas_threads():
         return None
     # numpy 2 wheels (64-bit indices), 32-bit-index wheels, numpy 1.x wheels,
     # and a system OpenBLAS
-    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                           ("openblas", "64_"), ("openblas", "")):
+    for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
         try:
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
@@ -174,22 +181,23 @@ def _block_states(entries: int) -> int:
 
 
 def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int):
-    """(jobs, block) of run_chunked for a task drawing `entries` per state (0:
-    no group_entries): a job (first chunk, chunks, states per chunk) is a group
-    of chunk streams, drawn at most `block` states per call. Refuses, before any
-    draw, runs whose blocks in flight (the first group's, on up to `threads`
-    workers) exceed MAX_BLOCK_BYTES."""
+    """(jobs, block) of run_chunked for a task drawing `entries` per state (0: no group_entries):
+    a job (first chunk, chunks, states per chunk), made as it is taken, is a group of chunk
+    streams drawn at most `block` states per call. Refuses, before any draw, runs whose blocks
+    in flight (the first group's, on up to `threads` workers) exceed MAX_BLOCK_BYTES."""
     if total_samples < 1:
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     full, rest = divmod(total_samples, chunk_size)
     per_group = max(1, _GROUP_DRAWS // (chunk_size * entries)) if entries else 1
-    jobs = [(first, min(per_group, full - first), chunk_size)
-            for first in range(0, full, per_group)] + [(full, 1, rest)] * (rest > 0)
+    jobs = itertools.chain(((first, min(per_group, full - first), chunk_size)
+                            for first in range(0, full, per_group)),
+                           [(full, 1, rest)] * (rest > 0))
     block = _block_states(entries) if entries else chunk_size
-    _, length, count = jobs[0]
-    needed = length * min(count, block) * entries * _BYTES_PER_ENTRY * min(threads, len(jobs))
+    length, count = (min(per_group, full), chunk_size) if full else (1, rest)
+    groups = -(-full // per_group) + (rest > 0)
+    needed = length * min(count, block) * entries * _BYTES_PER_ENTRY * min(threads, groups)
     if needed > MAX_BLOCK_BYTES:
         raise ValueError(f"draw blocks of {entries} entries per state need about "
                          f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB "
@@ -202,18 +210,13 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     """Evaluate ``task(streams, count) -> (len(streams), count) values`` over
     deterministic chunks.
 
-    Chunk c owns RngStream(master_seed, c) exclusively; a short final chunk
-    absorbs any remainder so the total sample count is respected exactly.
-    A call gets one chunk's stream, or, if the task has `group_entries` (its
-    draws per state), those of as many consecutive full chunks as fit in
-    _GROUP_DRAWS and at most _BLOCK_DRAWS entries (one state or more) of each:
-    a larger chunk is drawn in blocks, one call each, in stream order. Workers
-    re-key their streams. Threads and groups only change wall time, as each
-    chunk keeps its own statistics and they merge in chunk order. While the
-    pool runs, OpenBLAS runs one thread.
+    Chunk c owns RngStream(master_seed, c); a short final chunk takes the remainder. A call
+    gets one chunk's stream or, if the task has `group_entries` (draws per state), those of
+    the consecutive full chunks that fit in _GROUP_DRAWS, at most _BLOCK_DRAWS entries (one
+    state or more) of each. Block statistics merge in stream order, chunks' in chunk order,
+    so threads and groups change only wall time. While the pool runs, OpenBLAS runs one thread.
     """
-    jobs, block = _schedule(total_samples, chunk_size, getattr(task, "group_entries", 0),
-                            threads)
+    jobs, block = _schedule(total_samples, chunk_size, getattr(task, "group_entries", 0), threads)
     worker = threading.local()  # each pool thread keeps its own streams
 
     def one_group(job):
@@ -222,14 +225,19 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
         streams += [RngStream(master_seed) for _ in range(length - len(streams))]
         for index, stream in enumerate(streams[:length], first):
             stream._rekey(master_seed, index)
-        values = [np.reshape(task(streams[:length], b), (length, b))
-                  for b in _block_sizes(count, block)]
-        return stats_of(values[0] if len(values) == 1 else np.concatenate(values, axis=1))
+        return _block_stats(functools.partial(task, streams[:length]), count, block)
+
+    def in_order(pool):  # at most 2·threads groups submitted ahead of the one being merged
+        pending = [pool.submit(one_group, job) for job in itertools.islice(jobs, 2 * threads)]
+        for job in jobs:
+            pending.append(pool.submit(one_group, job))
+            yield pending.pop(0).result()
+        yield from (future.result() for future in pending)
 
     # the statistics fold as the groups finish, so they are never all held at once
     if threads > 1:
         with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
-            return _finish(stats for group in pool.map(one_group, jobs) for stats in group)
+            return _finish(stats for group in in_order(pool) for stats in group)
     return _finish(stats for job in jobs for stats in one_group(job))
 
 

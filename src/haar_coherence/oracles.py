@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import MAX_TABLE_SIZE, MomentTable
-from .estimators import (EstimatorResult, _block_sizes, _block_states, _finish,
-                         _single_threaded_blas, stats_of)
+from .estimators import (EstimatorResult, _block_sizes, _block_states, _block_stats, _finish,
+                         _single_threaded_blas)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
 from .sampling import RngStream, _hs_mixed_slices, haar_unitary_batch
 
@@ -142,14 +142,6 @@ def quadrature_moment_table(n: int, q: float) -> MomentTable:
     return MomentTable(q=q, values=values)
 
 
-def _blocked_mean(values, samples: int, entries: int) -> EstimatorResult:
-    """Mean of values(b) over the draw blocks of samples taking `entries` draws each."""
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    blocks = _block_sizes(samples, _block_states(entries))
-    return _finish(stats_of(values(b)[None])[0] for b in blocks)
-
-
 def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
     """Monte Carlo estimate of the integral of sqrt(mu1 mu2) e^{-sum mu}
     |Delta(mu)|^2 over the positive orthant.
@@ -167,12 +159,11 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> Estima
     def values(b):
         mu = rng.exponential(b * n).reshape(b, n)
         f = np.sqrt(mu[:, 0] * mu[:, 1])
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = f * (mu[:, i] - mu[:, j]) ** 2
+        for i, j in zip(*np.triu_indices(n, 1)):  # row by row, as nested loops
+            f = f * (mu[:, i] - mu[:, j]) ** 2
         return f
 
-    return _blocked_mean(values, samples, n)
+    return _finish(_block_stats(lambda b: values(b)[None], samples, _block_states(n)))
 
 
 def twofold_twirl(a, n: int) -> np.ndarray:
@@ -225,4 +216,4 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResu
         return np.concatenate([np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(axis=1) ** 2
                                for states in _hs_mixed_slices(rng, n, b)])
 
-    return _blocked_mean(values, samples, n * n)
+    return _finish(_block_stats(lambda b: values(b)[None], samples, _block_states(n * n)))

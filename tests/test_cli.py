@@ -286,6 +286,18 @@ def test_mc_and_tail_refuse_oversized_draw_blocks_up_front(capsys, monkeypatch, 
     assert "GiB limit" in err
 
 
+@pytest.mark.parametrize("ensemble, dim", [("mixed", "1000000"), ("unitary", "1000000"),
+                                           ("mixed", "4730"), ("pure", "30000000")])
+def test_sample_refuses_oversized_states_up_front(capsys, monkeypatch, ensemble, dim):
+    # the guard of mc and tail, at N or N² entries per state: mixed and unitary
+    # N <= 4729; numpy unreachable, so any allocation would raise instead
+    monkeypatch.setattr(estimators, "np", None)
+    monkeypatch.setattr(sampling, "np", None)
+    code, out, err = run_cli(capsys, "sample", "--ensemble", ensemble, "--dim", dim)
+    assert code == 2 and out == ""
+    assert "GiB limit" in err and "Traceback" not in err
+
+
 def test_tail_record(capsys):
     code, out, _ = run_cli(capsys, "tail", "--ensemble", "pure", "--dim", "29",
                            "--epsilon", "0.3", "--samples", "20000", "--seed", "1")

@@ -73,6 +73,51 @@ def test_run_chunked_hands_groups_of_chunk_streams(monkeypatch):
             for c, size in enumerate([100] * 10 + [50]))
 
 
+def test_schedule_makes_its_jobs_as_they_are_taken():
+    # one-state chunks: the guard needs only the first group and the group
+    # count, so nothing is built before the first draw. 10^10 first, whose
+    # job list would take about 70 MB, so that a list-building schedule fails
+    # there instead of asking for the 7 GB of 10^12
+    for samples in (10**10, 10**12):
+        tracemalloc.start()
+        try:
+            jobs, block = estimators._schedule(samples, 1, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert next(jobs) == (0, estimators._GROUP_DRAWS, 1) and block == estimators._BLOCK_DRAWS
+    assert list(estimators._schedule(1050, 100, 0, 1)[0]) == [
+        (c, 1, 100) for c in range(10)] + [(10, 1, 50)]
+    assert list(estimators._schedule(50, 100, 1, 1)[0]) == [(0, 1, 50)]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pool_keeps_a_bounded_window_of_groups(monkeypatch, threads):
+    # 200 one-chunk groups: at most 2·threads submitted ahead of the group
+    # being merged, and the same bytes as one thread
+    outstanding, most = set(), []
+
+    class Recording(estimators.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            result = future.result
+
+            def taken(*timeout):
+                outstanding.discard(future)
+                return result(*timeout)
+
+            future.result = taken
+            outstanding.add(future)
+            most.append(len(outstanding))
+            return future
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", Recording)
+    pooled = run_chunked(counting_task, 20_000, chunk_size=100, master_seed=4, threads=threads)
+    assert len(most) == 200 and max(most) == 2 * threads + 1
+    assert pooled == run_chunked(counting_task, 20_000, chunk_size=100, master_seed=4)
+
+
 @pytest.mark.parametrize("ensemble, n", [("pure", 2), ("pure", 7), ("pure", 8), ("pure", 29),
                                          ("mixed", 2), ("mixed", 3)],
                          ids=["2", "7", "8", "29", "mixed-2", "mixed-3"])
@@ -251,7 +296,7 @@ def test_block_memory_counts_a_group_of_pure_chunks(monkeypatch):
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
 def test_group_working_set_is_within_its_estimate(measure):
     task = _coherence_task("pure", 2, measure)
-    _, chunks, _ = estimators._schedule(10**6, 1024, 2, threads=1)[0][0]  # the first group
+    _, chunks, _ = next(estimators._schedule(10**6, 1024, 2, threads=1)[0])  # the first group
     streams = [RngStream(5, k) for k in range(chunks)]
     task(streams, 1024)  # rel-ent imports scipy on its first call
     tracemalloc.start()
@@ -307,6 +352,26 @@ def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch):
     check("pure", 2, 2**20 - 1, 2**20 - 1, threads=1)
     with pytest.raises(ValueError, match="GiB limit"):
         check("pure", 2, 2**30, 2**30, threads=1)
+
+
+def test_chunk_of_many_blocks_holds_one_block_at_a_time(monkeypatch):
+    # a pure chunk of 16 blocks of 2^14 states at N = 2 needs at most about two
+    # blocks' values more than a chunk of one block; holding every block's
+    # values for one statistics call took some 45 more (6.3 MB against 0.4)
+    monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 2**15)
+    block = 2**14
+
+    def peak(chunk):
+        task = _coherence_task("pure", 2, "skew")
+        run_chunked(task, chunk, chunk, 6)  # the task's draw buffer, allocated once
+        tracemalloc.start()
+        try:
+            run_chunked(task, chunk, chunk, 6)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * block) <= peak(block) + 2 * block * 8
 
 
 def _pure_values(p, measure):
@@ -373,9 +438,9 @@ def test_mixed_estimate_draws_blocks_in_order(monkeypatch, n, measure):
     kernel = skew_coherence if measure == "skew" else relative_entropy_coherence
     monkeypatch.setattr(estimators, "_BLOCK_DRAWS", 12 * n * n + n)
     loop_rng = RngStream(53, 0)
-    expected = np.concatenate([kernel(hs_mixed_batch(loop_rng, n, b)) for b in (12, 12, 6)])
+    expected = [kernel(hs_mixed_batch(loop_rng, n, b)) for b in (12, 12, 6)]
     est = estimate_average("mixed", n, 30, seed=53, measure=measure, chunk_size=30)
-    assert est == estimators._finish(estimators.stats_of(expected[None]))
+    assert est == estimators._finish(estimators.stats_of(v[None])[0] for v in expected)
 
 
 @pytest.mark.parametrize("ensemble, sampler", [("pure", "haar_populations_batch"),

@@ -16,6 +16,10 @@ marked v2 were recorded under it; the older ones did not move.
 Bit contract v3: up to N = 3 the Hilbert-Schmidt sampler forms its Gram
 matrices entry by entry instead of by matmul, so it calls no BLAS there; the
 mixed `sample` cases marked v3 pin it. No earlier case moved.
+
+A chunk drawn in several blocks merges its blocks' (count, mean, M2) in
+stream order, as the oracles do; the one case of such a chunk was recorded
+that way. Chunks of one block, every other case, did not move.
 """
 
 import hashlib
@@ -156,6 +160,11 @@ def test_stream_counts_the_outputs_philox_buffers(offset):
       "--chunk", "700"],
      "ensemble,N,measure,mean,stderr,samples,seed\n"
      "pure,2,skew,0.3329804594378862,0.0008608476806664775,30000,5\n"),
+    # one chunk of two draw blocks, 699050 + 300950 states, whose statistics
+    # merge block by block
+    (["mc", "--ensemble", "pure", "--dim", "3", "--samples", "1000000", "--chunk", "1000000"],
+     "ensemble,N,measure,mean,stderr,samples,seed\n"
+     "pure,3,skew,0.49995517593014366,0.00012917231663365627,1000000,42\n"),
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected
