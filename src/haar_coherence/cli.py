@@ -124,7 +124,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    estimators._schedule(1, 1, args.dim ** (1 if args.ensemble == "pure" else 2), 1)  # size guard
+    estimators._schedule(1, 1, args.dim ** (1 if args.ensemble == "pure" else 2), 1, "dimension")
     sample = {"pure": haar_pure_batch, "mixed": hs_mixed_batch,
               "unitary": haar_unitary_batch}[args.ensemble]
     flat = sample(RngStream(args.seed, 0), args.dim, 1)[0].ravel()  # row-major

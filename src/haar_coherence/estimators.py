@@ -32,10 +32,9 @@ _BLOCK_DRAWS = 1 << 21
 # reused draw buffer keeps larger groups from re-faulting temporaries (glibc did from 2^15).
 _GROUP_DRAWS = 1 << 14
 
-# Peak bytes of one draw block per complex entry drawn. Measured peaks of one
-# full 2^21-entry block (ru_maxrss, N = 2-32): 24 B for pure states (populations
-# only); mixed blocks hold 8 B (the radii) plus one slice, 40-53 B when they were
-# drawn whole. 96 B covers both with room.
+# Peak bytes of one draw block per complex entry drawn. One full 2^21-entry block over a
+# warmed-up process (ru_maxrss, N = 2-32): 16-20 B for pure states (populations only),
+# 2-5 B for mixed ones (one slice and the per-state values). 96 B covers both with room.
 _BYTES_PER_ENTRY = 96
 
 # Largest estimated working set of the draw blocks in flight at once; above it mc, tail
@@ -180,11 +179,12 @@ def _block_states(entries: int) -> int:
     return max(1, _BLOCK_DRAWS // entries)
 
 
-def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int):
+def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int,
+              lower: str = "dimension, chunk size or thread count"):
     """(jobs, block) of run_chunked for a task drawing `entries` per state (0: no group_entries):
     a job (first chunk, chunks, states per chunk), made as it is taken, is a group of chunk
-    streams drawn at most `block` states per call. Refuses, before any draw, runs whose blocks
-    in flight (the first group's, on up to `threads` workers) exceed MAX_BLOCK_BYTES."""
+    streams drawn at most `block` states per call. Refuses before any draw, naming `lower`,
+    runs whose blocks in flight (the first group's, on `threads` workers) pass MAX_BLOCK_BYTES."""
     if total_samples < 1:
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
     if chunk_size < 1:
@@ -201,7 +201,7 @@ def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int):
     if needed > MAX_BLOCK_BYTES:
         raise ValueError(f"draw blocks of {entries} entries per state need about "
                          f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB "
-                         f"limit; use a smaller dimension, chunk size or thread count")
+                         f"limit; use a smaller {lower}")
     return jobs, block
 
 

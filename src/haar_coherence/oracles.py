@@ -16,7 +16,7 @@ from .closed_forms import MAX_TABLE_SIZE, MomentTable
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _block_stats, _finish,
                          _single_threaded_blas)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
-from .sampling import RngStream, _hs_mixed_slices, haar_unitary_batch
+from .sampling import _UNIFORM_SLICE, RngStream, _hs_mixed_slices, haar_unitary_batch
 
 # Unitaries per haar_unitary_batch call of the twirl MC. Block boundaries fix
 # where each draw splits the stream, so a different size moves the result.
@@ -156,11 +156,13 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> Estima
         raise ValueError(
             f"Monte Carlo route is limited to dimension <= {_VANDERMONDE_MAX_DIM}, got {n}")
 
-    def values(b):
-        mu = rng.exponential(b * n).reshape(b, n)
-        f = np.sqrt(mu[:, 0] * mu[:, 1])
-        for i, j in zip(*np.triu_indices(n, 1)):  # row by row, as nested loops
-            f = f * (mu[:, i] - mu[:, j]) ** 2
+    def values(b):  # elementwise, so slices of _UNIFORM_SLICE states keep the block's bits
+        f = np.empty(b)
+        for start in range(0, b, _UNIFORM_SLICE):
+            mu = rng.exponential(min(_UNIFORM_SLICE, b - start) * n).reshape(-1, n)
+            part = np.sqrt(mu[:, 0] * mu[:, 1], out=f[start:start + len(mu)])
+            for i, j in zip(*np.triu_indices(n, 1)):  # row by row, as nested loops
+                part *= (mu[:, i] - mu[:, j]) ** 2
         return f
 
     return _finish(_block_stats(lambda b: values(b)[None], samples, _block_states(n)))

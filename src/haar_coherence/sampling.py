@@ -27,7 +27,7 @@ _GRAM_SCHMIDT_MAX_DIM = 3
 # 0.05 vs 0.28 s at n = 2 and 0.06 vs 0.19 s at n = 3, results <= 3.4e-16 apart.
 _ELEMENTWISE_GRAM_MAX_DIM = 3
 
-_UNIFORM_SLICE = 65536  # draws per phase step of complex_normal and per mixed-state slice
+_UNIFORM_SLICE = 65536  # draws per normal slice; states per Vandermonde oracle slice
 
 
 def _splitmix64(z: int) -> int:
@@ -52,7 +52,7 @@ class RngStream:
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        self._bits, self._seed = np.random.Philox(), None
+        self._bits, self._seed, self._ahead = np.random.Philox(), None, None
         self._uniforms = np.random.Generator(self._bits)
         self._rekey(master_seed, stream_index)
 
@@ -76,22 +76,29 @@ class RngStream:
         return self._uniforms.random(out=np.empty(n) if out is None else out)
 
     def complex_normal(self, n: int) -> np.ndarray:
-        """n iid standard complex normals, E|z|^2 = 1 (Re/Im variance 1/2 each)."""
-        radius = self.exponential(n)
-        np.sqrt(radius, out=radius)
+        """n iid standard complex normals, E|z|^2 = 1 (Re/Im variance 1/2 each), 16 B a draw."""
         z = np.empty(n, dtype=complex)
-        for s in range(0, n, _UNIFORM_SLICE):
-            self._polar(radius[s:s + _UNIFORM_SLICE], z[s:s + _UNIFORM_SLICE])
+        for _ in self._normals(n, _UNIFORM_SLICE, z):
+            pass
         return z
 
-    def _polar(self, radius: np.ndarray, out: np.ndarray) -> None:
-        """out = radius * exp(2j pi u) with u the next len(radius) uniforms, in place."""
-        u = self.uniform(len(radius))
-        out.real = 0.0
-        np.multiply(u, 2 * np.pi, out=out.imag)
-        del u  # else it lives on beside the casting buffer of the radius product
-        np.exp(out, out=out)
-        np.multiply(radius, out, out=out)
+    def _normals(self, n: int, step: int, out: np.ndarray):
+        """Write the next n complex normals `step` at a time into `out` (at their place if it
+        holds n, else at its start), yielding each slice. The stream holds the n radii, then
+        the n phases; a spare stream set to this one's state once a call reads the radii."""
+        if self._ahead is None:  # kept: a new Philox seeds from the OS (20 us; a set 5 us)
+            self._ahead = RngStream(0)
+        self._ahead._bits.state, self._ahead._left = self._bits.state, self._left
+        self._skip(n)
+        buffer = np.empty(min(step, n))  # the slice's phase uniforms, then its radii
+        for start in range(0, n, step):
+            part = out[start:start + step] if out.size >= n else out[:min(step, n - start)]
+            part.real = 0.0
+            np.multiply(self.uniform(part.size, buffer[:part.size]), 2 * np.pi, out=part.imag)
+            np.exp(part, out=part)
+            r = self._ahead.exponential(part.size, buffer[:part.size])
+            np.multiply(np.sqrt(r, out=r), part, out=part)
+            yield part
 
     def exponential(self, n: int, out=None) -> np.ndarray:
         """n iid Exponential(1) variates by inverse transform, -log1p(-u), in place."""
@@ -201,21 +208,12 @@ def _gram(block: np.ndarray) -> np.ndarray:
 
 def _hs_mixed_slices(rng: RngStream, n: int, count: int):
     """The `count` matrices of hs_mixed_batch as (b, n, n) slices, each overwritten by the
-    next: the radii of all count·n² normals are drawn whole, as complex_normal draws them,
-    then each slice's phases, next in the stream. So only the radii and a slice are held.
-
-    A slice holds max(1, ⌊2^16/n²⌋) states; ⌊2^14/n⌋ for n <= 3, as the elementwise Gram
-    step's complex products round by the slice length (numpy's SIMD and scalar loops).
-    """
-    entries = n * n
-    step = max(1, _UNIFORM_SLICE // (n * max(n, _ELEMENTWISE_GRAM_MAX_DIM + 1))) * entries
-    radius = rng.exponential(count * entries)
-    np.sqrt(radius, out=radius)
-    g = np.empty(min(step, radius.size), dtype=complex)
-    for start in range(0, radius.size, step):
-        part = radius[start:start + step]
-        rng._polar(part, g[:part.size])
-        yield _gram(g[:part.size].reshape(-1, n, n))
+    next, so one slice is held. A slice holds max(1, ⌊2^16/n²⌋) states; ⌊2^14/n⌋ for n <= 3,
+    as the elementwise Gram step's products round by the slice length (SIMD or scalar loop)."""
+    step = max(1, _UNIFORM_SLICE // (n * max(n, _ELEMENTWISE_GRAM_MAX_DIM + 1))) * n * n
+    g = np.empty(min(step, count * n * n), dtype=complex)
+    for part in rng._normals(count * n * n, step, g):
+        yield _gram(part.reshape(-1, n, n))
 
 
 def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:

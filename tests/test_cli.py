@@ -344,6 +344,17 @@ def test_figure1_unwritable_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_size_refusals_advise_only_what_the_command_takes(capsys):
+    # sample takes neither a chunk size nor a thread count; mc and tail take both
+    code, out, err = run_cli(capsys, "sample", "--ensemble", "mixed", "--dim", "1000000")
+    assert code == 2 and out == "" and "GiB limit" in err
+    assert err.endswith("limit; use a smaller dimension\n")
+    for command in (("mc",), ("tail", "--epsilon", "0.1")):
+        code, out, err = run_cli(capsys, *command, "--ensemble", "mixed", "--dim", "100000")
+        assert code == 2 and out == "" and "GiB limit" in err
+        assert err.endswith("; use a smaller dimension, chunk size or thread count\n")
+
+
 @pytest.mark.parametrize("max_exp", ["11", "1000000000"])
 def test_figure1_refuses_oversized_sweep_up_front(tmp_path, capsys, monkeypatch, max_exp):
     def no_sampling(*args, **kwargs):

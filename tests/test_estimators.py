@@ -309,9 +309,10 @@ def test_group_working_set_is_within_its_estimate(measure):
 
 
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
-def test_mixed_task_holds_the_radii_and_one_slice(measure):
-    # a 1024-state block at N = 32 holds its radii (8 MiB) and one slice of 64
-    # states with its temporaries; drawn and reduced whole it peaked at 41 MiB
+def test_mixed_task_holds_one_slice(measure):
+    # a 1024-state block at N = 32 holds one slice of 64 states with its temporaries
+    # (3.8 MiB measured); holding its radii too it peaked at 11 MiB, and drawn and
+    # reduced whole at 41 MiB
     task = _coherence_task("mixed", 32, measure)
     task([RngStream(5, 0)], 2)  # rel-ent imports scipy on its first call
     tracemalloc.start()
@@ -320,7 +321,7 @@ def test_mixed_task_holds_the_radii_and_one_slice(measure):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 6 * 2**20
 
 
 @pytest.mark.parametrize("n", [5, 16])

@@ -7,7 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_genlaguerre
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import estimators, oracles
+from haar_coherence import estimators, oracles, sampling
 from haar_coherence.estimators import (_finish, _single_threaded_blas, merge_stats,
                                        stats_of)
 from haar_coherence.linalg import hermitian_eigvalsh
@@ -283,9 +283,10 @@ def test_stats_oracles_match_hand_rolled_block_loop(oracle, values, entries, n, 
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
 
 
-def test_spectral_mc_holds_the_radii_and_one_slice():
-    # blocks of 2^21 draws hold their radii (16 MiB) and one slice; drawn and
-    # reduced whole, 3·10^5 states at N = 3 peaked at 48.6 MiB
+def test_spectral_mc_holds_one_slice():
+    # blocks of 2^21 draws are read a slice at a time (5.2 MiB measured); holding a
+    # block's radii beside its slice peaked at 20.9 MiB, and drawn and reduced whole,
+    # 3·10^5 states at N = 3 peaked at 48.6 MiB
     oracles.trace_sqrt_squared_mc(3, 10, RngStream(2, 0))
     tracemalloc.start()
     try:
@@ -293,4 +294,28 @@ def test_spectral_mc_holds_the_radii_and_one_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 2**20
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vandermonde_mc_slices_keep_the_block_bits(n):
+    # two full slices of states and a short last one in one block: the bits of the
+    # block's exponentials drawn whole and the integrand evaluated on all of them
+    samples = 2 * sampling._UNIFORM_SLICE + 5
+    est = oracles.vandermonde_sqrt_integral_mc(n, samples, RngStream(263, n))
+    values = _vandermonde_values(RngStream(263, n), n, samples)
+    assert est == _finish(stats_of(values[None]))
+
+
+def test_vandermonde_mc_holds_its_values_and_one_slice():
+    # one block of 2^20 states at N = 2: its values and their deviations in the block
+    # statistics (8 MiB each) and one slice; drawn whole, the exponentials and the
+    # integrand's temporaries peaked at 32 MiB
+    oracles.vandermonde_sqrt_integral_mc(2, 10, RngStream(2, 0))
+    tracemalloc.start()
+    try:
+        oracles.vandermonde_sqrt_integral_mc(2, 2**20, RngStream(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2**20

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
 from haar_coherence import sampling
+from haar_coherence.estimators import run_chunked
 from haar_coherence.linalg import hermitian_part, partial_trace_b
 from haar_coherence.sampling import (RngStream, haar_pure_batch,
                                      haar_unitary_batch, hs_mixed_batch)
@@ -82,10 +83,10 @@ def test_real_draws_hold_one_buffer_plus_one_slice(method):
     assert peak <= 8 * n + 8 * sampling._UNIFORM_SLICE + 2**17
 
 
-def test_complex_normals_hold_24_bytes_per_draw_plus_one_slice():
-    # the radius (8 B) and the output (16 B) per draw; the phase uniforms are
-    # drawn slice by slice into the output, and the slack covers the ufunc's
-    # casting buffer
+def test_complex_normals_hold_16_bytes_per_draw_plus_one_slice():
+    # the output (16 B per draw); the radii and the phase uniforms are read slice
+    # by slice, and the slack covers the ufunc's casting buffer. Drawing the radii
+    # whole held 24 B per draw
     n = 10**6
     rng = RngStream(3, 2)
     tracemalloc.start()
@@ -94,7 +95,23 @@ def test_complex_normals_hold_24_bytes_per_draw_plus_one_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * n + 8 * sampling._UNIFORM_SLICE + 2**17
+    assert peak <= 16 * n + 16 * sampling._UNIFORM_SLICE + 2**17
+
+
+@pytest.mark.parametrize("offset", range(4))
+@pytest.mark.parametrize("n", [0, 1, 7, 2 * sampling._UNIFORM_SLICE + 3])
+def test_complex_normals_are_the_radii_then_the_phases(offset, n):
+    # polar Box-Muller from any place in Philox's 4-output buffer: the n radii,
+    # then the n phases, and the stream left past both
+    stream, twin = RngStream(41, 2), RngStream(41, 2)
+    stream.uniform(offset)
+    twin.uniform(offset)
+    z = stream.complex_normal(n)
+    radius = np.sqrt(twin.exponential(n))
+    phase = np.zeros(n, dtype=complex)
+    phase.imag = twin.uniform(n) * (2 * np.pi)
+    assert np.array_equal(z, radius * np.exp(phase))
+    assert np.array_equal(stream.uniform(5), twin.uniform(5))
 
 
 def test_uniform_range():
@@ -252,6 +269,12 @@ def test_gram_and_bipartite_routes_agree():
     assert ks_2samp(_coherence_of(direct), _coherence_of(gram)).statistic < 0.02
 
 
+def _unsliced_gram(g):
+    w = g @ np.conj(np.swapaxes(g, 1, 2))
+    w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
+    return w / np.einsum("bii->b", w).real[:, None, None]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
 def test_hs_mixed_slices_match_unsliced_formula(n):
     # two full slices and a short last one, against the whole block's normals drawn at
@@ -260,9 +283,7 @@ def test_hs_mixed_slices_match_unsliced_formula(n):
     count = 2 * per_slice + 5
     whole, sliced = RngStream(31, n), RngStream(31, n)
     g = whole.complex_normal(count * n * n).reshape(count, n, n)
-    w = g @ np.conj(np.swapaxes(g, 1, 2))
-    w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
-    expected = w / np.einsum("bii->b", w).real[:, None, None]
+    expected = _unsliced_gram(g)
     slices = [states.copy() for states in sampling._hs_mixed_slices(sliced, n, count)]
     assert [len(states) for states in slices] == [per_slice, per_slice, 5]
     rho = np.concatenate(slices)
@@ -280,3 +301,37 @@ def test_hs_mixed_slices_match_unsliced_formula(n):
     assert np.abs(rho - expected).max() <= 1e-15
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, 1, 2)))
     assert not np.diagonal(rho, axis1=1, axis2=2).imag.any()
+
+
+def test_two_block_mixed_chunk_matches_unsliced_formula():
+    # at N = 46 the engine draws a 1024-state chunk as two blocks, 991 + 33 states, and
+    # the sampler reads them 30 states a slice: each block has the bytes of its normals
+    # drawn whole, and the second starts where the first left the stream
+    n, blocks = 46, []
+
+    def task(streams, count):
+        blocks.append(np.concatenate([states.copy() for states in
+                                      sampling._hs_mixed_slices(streams[0], n, count)]))
+        return np.zeros((1, count))
+
+    task.group_entries = n * n
+    run_chunked(task, 1024, 1024, master_seed=37)
+    assert [len(block) for block in blocks] == [991, 33]
+    whole = RngStream(37, 0)
+    for block in blocks:
+        g = whole.complex_normal(len(block) * n * n).reshape(-1, n, n)
+        assert np.array_equal(block, _unsliced_gram(g))
+
+
+def test_hs_mixed_slices_hold_a_few_slices():
+    # 1024 states at N = 32 are 16 slices of 64 states (2^16 entries, 1 MiB): a call
+    # holds one slice and its Gram temporaries; drawing the radii whole held 8 MiB more
+    list(sampling._hs_mixed_slices(RngStream(5, 0), 32, 2))
+    tracemalloc.start()
+    try:
+        for _ in sampling._hs_mixed_slices(RngStream(5, 0), 32, 1024):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * sampling._UNIFORM_SLICE
