@@ -71,10 +71,10 @@ class SweepRow:
 
 def stats_of(values: np.ndarray) -> list:
     """(count, mean, sum of squared deviations) of each row of a 2-D sample
-    block. numpy reduces a contiguous row as it does a 1-D array, so a row's
-    statistics do not depend on the rows beside it."""
+    block, which it overwrites with the squared deviations. numpy reduces a contiguous
+    row as it does a 1-D array, so a row's statistics do not depend on the rows beside it."""
     means = values.mean(axis=1)
-    m2 = ((values - means[:, None]) ** 2).sum(axis=1)
+    m2 = np.square(np.subtract(values, means[:, None], out=values), out=values).sum(axis=1)
     return [(values.shape[1], float(mean), float(dev)) for mean, dev in zip(means, m2)]
 
 

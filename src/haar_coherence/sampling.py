@@ -22,9 +22,9 @@ _MASK64 = (1 << 64) - 1
 # at n = 32. The twirl oracle, the hot caller, runs at n = 2 and 3.
 _GRAM_SCHMIDT_MAX_DIM = 3
 
-# Up to this order hs_mixed_batch forms G G† entry by entry, not by a batched
-# matmul: on 2^21 drawn entries (2-core x86-64, OpenBLAS 0.3.31) the step took
-# 0.05 vs 0.28 s at n = 2 and 0.06 vs 0.19 s at n = 3, results <= 3.4e-16 apart.
+# Up to this order hs_mixed_batch forms G G† entry by entry, not by a batched matmul: on
+# 2^21 drawn entries in sampler slices (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31) the
+# step took 55 vs 271 ms at n = 2, 52 vs 110 at n = 3, 145 vs 80 at n = 4; <= 3.4e-16 apart.
 _ELEMENTWISE_GRAM_MAX_DIM = 3
 
 _UNIFORM_SLICE = 65536  # draws per normal slice; states per Vandermonde oracle slice
@@ -123,20 +123,19 @@ def haar_pure_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def haar_populations_batch(rng, n: int, count: int, out=None) -> np.ndarray:
-    """(count, n) populations |psi_k|^2 of the states haar_pure_batch draws.
+def haar_populations_batch(streams: list, n: int, count: int, out=None) -> np.ndarray:
+    """(len(streams) * count, n) populations |psi_k|^2 of the states haar_pure_batch draws.
 
     The squared radius of a polar Box-Muller normal is the Exponential(1)
     variate of its first uniform block, so p = e / sum(e) equals the
     haar_pure_batch populations up to round-off without the phase block,
-    which is skipped: the stream is left where haar_pure_batch leaves it.
+    which is skipped: each stream is left where haar_pure_batch leaves it.
 
-    Given a list of streams, it stacks `count` states of each in list order
-    and normalizes them in one pass, row by row: the bits of one call each;
-    in place in the float buffer `out` if given.
+    It stacks `count` states of each stream in list order and normalizes them
+    in one pass, row by row: the bits of one call per stream; in place in the
+    float buffer `out` if given.
     """
     _require_dim(n)
-    streams = rng if isinstance(rng, list) else [rng]
     size = count * n
     e = (np.empty(len(streams) * size) if out is None else out)[:len(streams) * size]
     for at, stream in zip(range(0, e.size, size), streams):
@@ -187,8 +186,8 @@ def _column_sum(x: np.ndarray) -> np.ndarray:
 
 def _gram(block: np.ndarray) -> np.ndarray:
     """Overwrite each matrix G of a (b, n, n) block with G G† / Tr(G G†) and return it; up to
-    _ELEMENTWISE_GRAM_MAX_DIM entry by entry: the real diagonal sum_k |G_ik|^2, the upper
-    triangle sum_k G_ik conj(G_jk), its conjugate."""
+    _ELEMENTWISE_GRAM_MAX_DIM entry by entry (diagonal, upper triangle, its conjugate) in real
+    arithmetic, which rounds alike in any loop numpy picks, so a state's bits are its own."""
     n = block.shape[-1]
     if n > _ELEMENTWISE_GRAM_MAX_DIM:
         w = block @ np.conj(np.swapaxes(block, 1, 2))
@@ -196,7 +195,9 @@ def _gram(block: np.ndarray) -> np.ndarray:
         return np.divide(w, np.einsum("bii->b", w).real[:, None, None], out=block)
     upper_i, upper_j = np.triu_indices(n, 1)
     diagonal = _column_sum(block.real ** 2 + block.imag ** 2)
-    upper = _column_sum(block[:, upper_i] * block[:, upper_j].conj())
+    g_i, g_j = block[:, upper_i], block[:, upper_j]
+    upper = _column_sum(g_i.real * g_j.real + g_i.imag * g_j.imag).astype(complex)
+    upper.imag = _column_sum(g_i.imag * g_j.real - g_i.real * g_j.imag)
     trace = _column_sum(diagonal)[:, None]
     upper /= trace
     i = np.arange(n)
@@ -207,10 +208,9 @@ def _gram(block: np.ndarray) -> np.ndarray:
 
 
 def _hs_mixed_slices(rng: RngStream, n: int, count: int):
-    """The `count` matrices of hs_mixed_batch as (b, n, n) slices, each overwritten by the
-    next, so one slice is held. A slice holds max(1, ⌊2^16/n²⌋) states; ⌊2^14/n⌋ for n <= 3,
-    as the elementwise Gram step's products round by the slice length (SIMD or scalar loop)."""
-    step = max(1, _UNIFORM_SLICE // (n * max(n, _ELEMENTWISE_GRAM_MAX_DIM + 1))) * n * n
+    """The `count` matrices of hs_mixed_batch as (b, n, n) slices of max(1, ⌊2^16/n²⌋) states,
+    each overwritten by the next, so one slice is held. No bit depends on the slice length."""
+    step = max(1, _UNIFORM_SLICE // (n * n)) * n * n
     g = np.empty(min(step, count * n * n), dtype=complex)
     for part in rng._normals(count * n * n, step, g):
         yield _gram(part.reshape(-1, n, n))

@@ -48,8 +48,7 @@ def test_run_chunked_reproducible():
 @pytest.mark.parametrize("count", [1, 7, 700, 1024, 8193, 100_003])
 def test_row_stats_are_those_of_each_row(count):
     block = RngStream(3, count).exponential(5 * count).reshape(5, count) ** 3
-    for row, (n, mean, m2) in zip(block, estimators.stats_of(block)):
-        row = row.copy()
+    for row, (n, mean, m2) in zip(block, estimators.stats_of(block.copy())):
         assert (n, mean, m2) == (count, float(row.mean()), float(((row - row.mean()) ** 2).sum()))
 
 
@@ -324,17 +323,20 @@ def test_mixed_task_holds_one_slice(measure):
     assert peak <= 6 * 2**20
 
 
-@pytest.mark.parametrize("n", [5, 16])
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
 def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
-    # one state per slice, or slices longer than a draw block: the same bytes
-    # (up to N = 3 the elementwise Gram step rounds by the slice length, which
-    # the sampler therefore keeps fixed there)
+    # 1, 7, 1000 and 8192 states per slice, or slices longer than a draw block: the
+    # same bytes at every N. Up to N = 3 the chunk is one slice by default, long
+    # enough that numpy's complex multiply rounded it otherwise than short slices
+    samples, chunk = {2: (8200, 8200), 3: (2000, 2000)}.get(n, (1500, 700))
+
     def run():
-        return [estimate_average("mixed", n, 1500, seed=2, measure=measure, chunk_size=700)
+        return [estimate_average("mixed", n, samples, seed=2, measure=measure, chunk_size=chunk)
                 for measure in ("skew", "rel-ent")]
 
     expected = run()
-    for slice_draws in (1, 2 * estimators._BLOCK_DRAWS):
+    for slice_draws in [states * n * n for states in (1, 7, 1000, 8192)] + [
+            2 * estimators._BLOCK_DRAWS]:
         monkeypatch.setattr(sampling, "_UNIFORM_SLICE", slice_draws)
         assert run() == expected
 
@@ -404,9 +406,9 @@ def _calls_of(task, samples, chunk_size, seed):
     """The values of each call run_chunked makes of `task`, in order."""
     calls = []
 
-    def recording(streams, count):
+    def recording(streams, count):  # a copy, as the block statistics overwrite their input
         calls.append(task(streams, count))
-        return calls[-1]
+        return calls[-1].copy()
 
     recording.group_entries = task.group_entries
     run_chunked(recording, samples, chunk_size, seed)

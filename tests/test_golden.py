@@ -17,6 +17,11 @@ Bit contract v3: up to N = 3 the Hilbert-Schmidt sampler forms its Gram
 matrices entry by entry instead of by matmul, so it calls no BLAS there; the
 mixed `sample` cases marked v3 pin it. No earlier case moved.
 
+Bit contract v4: that elementwise Gram step runs in real arithmetic, so each
+state's bits depend only on its own draws, not on the sampler's slice length.
+Mixed output at N = 2 and 3 moved in its last digits; the cases marked v4 pin
+it. Nothing else moved.
+
 A chunk drawn in several blocks merges its blocks' (count, mean, M2) in
 stream order, as the oracles do; the one case of such a chunk was recorded
 that way. Chunks of one block, every other case, did not move.
@@ -137,14 +142,14 @@ def test_stream_counts_the_outputs_philox_buffers(offset):
      '"re": [0.724903812326476, 0.2529300434994667, 0.2529300434994667, '
      '0.27509618767352406], '
      '"im": [0.0, -0.15513355408293378, 0.15513355408293378, 0.0]}\n'),
-    # v3
+    # v4 (v3 printed -0.049351564013153486 and 0.01603618422395865)
     (["sample", "--ensemble", "mixed", "--dim", "3", "--seed", "5"],
      '{"ensemble": "mixed", "dim": 3, "seed": 5, '
-     '"re": [0.6147677587667739, -0.049351564013153486, -0.08996316600151104, '
-     '-0.049351564013153486, 0.12362973298676892, 0.0432127070042835, '
+     '"re": [0.6147677587667739, -0.04935156401315347, -0.08996316600151104, '
+     '-0.04935156401315347, 0.12362973298676892, 0.0432127070042835, '
      '-0.08996316600151104, 0.0432127070042835, 0.2616025082464572], '
      '"im": [0.0, -0.18300519850087957, -0.04920122733054282, 0.18300519850087957, '
-     '0.0, 0.01603618422395865, 0.04920122733054282, -0.01603618422395865, 0.0]}\n'),
+     '0.0, 0.016036184223958656, 0.04920122733054282, -0.016036184223958656, 0.0]}\n'),
     # the reduced pure-stream benchmark invocations at workload seed 1, and
     # chunks of 700 ending in a short one; recorded before the engine evaluated
     # chunks in groups
@@ -168,6 +173,29 @@ def test_stream_counts_the_outputs_philox_buffers(offset):
 ])
 def test_lapack_free_cli_output_is_golden(capsys, argv, expected):
     assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["mc", "--ensemble", "mixed", "--dim", "2", "--samples", "20000", "--seed", "7"],
+     "mixed,2,skew,0.13703661396707098,0.0007337115506114604,20000,7\n"),
+    (["mc", "--ensemble", "mixed", "--dim", "2", "--samples", "100000", "--seed", "3",
+      "--measure", "rel-ent"],
+     "mixed,2,rel-ent,0.24949364458926387,0.0005416966895107071,100000,3\n"),
+    (["mc", "--ensemble", "mixed", "--dim", "3", "--samples", "20000", "--seed", "1",
+      "--measure", "rel-ent"],
+     "mixed,3,rel-ent,0.33333569989923323,0.0009566642487426042,20000,1\n"),
+    # chunks of 700 states, and chunks of 20000 spanning several sampler slices
+    (["mc", "--ensemble", "mixed", "--dim", "3", "--measure", "skew", "--chunk", "700",
+      "--samples", "3000"],
+     "mixed,3,skew,0.18401738674144147,0.0014556971137275388,3000,42\n"),
+    (["mc", "--ensemble", "mixed", "--dim", "3", "--chunk", "20000", "--samples", "40000"],
+     "mixed,3,skew,0.18401589315094544,0.00039773817964052004,40000,42\n"),
+])
+def test_v4_mixed_mc_output_is_golden(capsys, argv, expected):
+    # v4: each of these moved in its last digits from v3, whose Gram step at N <= 3
+    # used numpy's complex multiply; skew goes through LAPACK eigh, whose bits these
+    # cases pin for the numpy and OpenBLAS build they were recorded with
+    assert run_cli(capsys, *argv) == "ensemble,N,measure,mean,stderr,samples,seed\n" + expected
 
 
 @pytest.mark.parametrize("n,q,digest", [

@@ -61,7 +61,7 @@ def test_populations_of_several_streams_are_those_of_each(n):
     together = [RngStream(67, k) for k in range(3)]
     apart = [RngStream(67, k) for k in range(3)]
     stacked = sampling.haar_populations_batch(together, n, 50)
-    each = [sampling.haar_populations_batch(stream, n, 50) for stream in apart]
+    each = [sampling.haar_populations_batch([stream], n, 50) for stream in apart]
     assert np.array_equal(stacked, np.concatenate(each))
     for a, b in zip(together, apart):
         assert np.array_equal(a.uniform(5), b.uniform(5))
@@ -278,8 +278,10 @@ def _unsliced_gram(g):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
 def test_hs_mixed_slices_match_unsliced_formula(n):
     # two full slices and a short last one, against the whole block's normals drawn at
-    # once and its Gram formula: the same bytes, and the stream left at the same place
-    per_slice = max(1, sampling._UNIFORM_SLICE // (n * max(n, 4)))
+    # once and its Gram step run on all of them: the same bytes, and the stream left at
+    # the same place. Up to N = 3 the Gram step is elementwise, within round-off of the
+    # matmul formula; at every N exactly Hermitian with an exactly real diagonal
+    per_slice = max(1, sampling._UNIFORM_SLICE // (n * n))
     count = 2 * per_slice + 5
     whole, sliced = RngStream(31, n), RngStream(31, n)
     g = whole.complex_normal(count * n * n).reshape(count, n, n)
@@ -289,16 +291,8 @@ def test_hs_mixed_slices_match_unsliced_formula(n):
     rho = np.concatenate(slices)
     assert np.array_equal(whole.uniform(5), sliced.uniform(5))
     assert np.array_equal(rho, hs_mixed_batch(RngStream(31, n), n, count))
-    if n > sampling._ELEMENTWISE_GRAM_MAX_DIM:
-        assert np.array_equal(rho, expected)
-        return
-    # contract v3: up to N = 3 the Gram step is elementwise, within round-off
-    # of the matmul formula, exactly Hermitian with an exactly real diagonal;
-    # its bits depend on the slice, so the whole block's runs slice by slice
-    for start in range(0, count, per_slice):
-        sampling._gram(g[start:start + per_slice])
-    assert np.array_equal(rho, g)
-    assert np.abs(rho - expected).max() <= 1e-15
+    assert np.array_equal(rho, sampling._gram(g))
+    assert np.abs(rho - expected).max() <= (0 if n > sampling._ELEMENTWISE_GRAM_MAX_DIM else 1e-15)
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, 1, 2)))
     assert not np.diagonal(rho, axis1=1, axis2=2).imag.any()
 
