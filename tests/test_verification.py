@@ -30,10 +30,69 @@ def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
 
 
 def test_moment_routes_reports_the_gate_it_tests(monkeypatch):
-    assert "(gate 1e-09)" in verification.check_moment_routes().detail
+    [(label, gap, tolerance)] = verification.check_moment_routes().gates
+    assert tolerance == cf.MOMENT_GATE
     monkeypatch.setattr(cf, "MOMENT_GATE", 1e-20)
     result = verification.check_moment_routes()
-    assert result.passed is False and result.detail.endswith("(gate 1e-20)")
+    assert result.passed is False and result.gates == ((label, gap, 1e-20),)
+
+
+def test_check_result_renders_every_gate_one_way():
+    result = verification.CheckResult("sampler", (("max KS distance", 0.013299999999999979, 0.02),
+                                                  ("partial-trace mismatch", 2.22e-16, 1e-14)))
+    assert result.passed is True
+    assert result.detail == ("max KS distance 0.0133 (tol 0.02); "
+                             "partial-trace mismatch 2.22e-16 (tol 1e-14)")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e-10 + 1e-25])
+def test_one_failing_gate_fails_the_check(value):
+    result = verification.CheckResult("x", (("held", -1.0, 1e-10), ("broken", value, 1e-10)))
+    assert result.passed is False
+    assert result.detail.endswith(f"broken {value:#.3g} (tol 1e-10)")
+
+
+def test_a_check_without_gates_or_with_an_error_fails():
+    assert verification.CheckResult("x").passed is False
+    result = verification.CheckResult("x", (("held", 0.0, 1.0),), error="raised ValueError: v")
+    assert result.passed is False and result.detail == "raised ValueError: v"
+
+
+@pytest.mark.parametrize("value,passed", [(0.0, True), (-0.0, True), (-1e-300, True),
+                                          (5e-324, False)])
+def test_a_zero_tolerance_gate_passes_only_at_or_below_zero(value, passed):
+    assert verification.CheckResult("x", (("gap", value, 0),)).passed is passed
+
+
+# (label, tolerance) of each gate of `verify --suite all`, check by check; README's table
+VERIFY_ALL_GATES = [
+    [("worst relative moment error", 1e-12)],
+    [("max deviation from identity", 1e-10)],
+    [("max |series - quadrature|", cf.MOMENT_GATE)],
+    [("worst absolute error", 1e-12)],
+    [("n=2 z vs 3pi/4", 4), ("n=2 z vs closed form", 4), ("n=3 z vs closed form", 4)],
+    [("max |twirl(A) - A|", 0)],
+    [("worst entrywise error / (5 |A| / sqrt(S))", 1)],
+    [("n=2 z", 4), ("n=3 z", 4), ("n=2 |closed form - (1 + 3pi/16)|", 1e-12)],
+    [("max -C", 1e-10), ("max C - (1 - 1/N)", 1e-10)],
+    [("max |difference|", 1e-10)],
+    [("max |difference|", 1e-12)],
+    [("max violation", 0)],
+    [("max violation", 0)],
+    [("max violation", 1e-10)],
+    [("max violation", 1e-10)],
+    [("max deviation", 1e-12)],
+    [("worst z of the mean gap", 4)],
+    [("max KS distance", 0.02), ("partial-trace mismatch", 1e-14)],
+    [("worst z", 4)],
+]
+
+
+def test_seed42_gates_are_finite_and_keep_their_tolerances(suite_all_seed42):
+    assert [[(label, tolerance) for label, _, tolerance in result.gates]
+            for result in suite_all_seed42] == VERIFY_ALL_GATES
+    assert all(math.isfinite(value)
+               for result in suite_all_seed42 for _, value, _ in result.gates)
 
 
 def test_spectral_average_fails_closed_on_nan_mean(monkeypatch):
