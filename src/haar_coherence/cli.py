@@ -94,19 +94,16 @@ def _cmd_tail(args):
 def _cmd_figure1(args):
     rows = estimators.figure1_sweep(args.max_exp, args.samples, args.seed,
                                     args.chunk, args.threads)
+    path = args.out  # the file being written, named if writing fails
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("N,analytic,mc_mean,mc_stderr,n_samples,seed\n")
-            for row in rows:
-                handle.write(f"{row.n},{row.analytic!r},{row.mc_mean!r},"
-                             f"{row.mc_stderr!r},{row.n_samples},{row.seed}\n")
+            handle.writelines(f"{row.n},{row.analytic!r},{row.mc_mean!r},{row.mc_stderr!r},"
+                              f"{row.n_samples},{row.seed}\n" for row in rows)
+        if (path := args.svg) is not None:
+            svg.write_sweep_svg(path, rows)
     except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc}")
-    if args.svg is not None:
-        try:
-            svg.write_sweep_svg(args.svg, rows)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.svg}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
     print(f"wrote {len(rows)} rows to {args.out}"
           + (f" and chart to {args.svg}" if args.svg else ""))
     return 0

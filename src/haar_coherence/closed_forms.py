@@ -230,7 +230,8 @@ def pure_average_gap(n: int) -> float:
 
 
 def levy_bound(sphere_dim: int, epsilon: float, lipschitz: float) -> float:
-    """Sphere concentration bound 2 exp(-(k+1) eps^2 / (9 pi^3 eta^2 ln 2))."""
+    """Sphere bound 2 exp(-(k+1) eps^2 / (9 pi^3 eta^2 ln 2)), eta Lipschitz in the Euclidean
+    distance of R^{k+1} on S^k. Proven: 4 for the reduced-state and pure maps, not the pure 4/n."""
     if sphere_dim < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {sphere_dim}")
     if epsilon <= 0:

@@ -190,10 +190,10 @@ def twofold_twirl(a, n: int) -> np.ndarray:
 def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
     """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries.
 
-    One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the
-    RNG order. Each block of W = U x U (d = n^2) is laid out as W[r, c, b] with
-    the sample index b innermost and folded in by two matrix products:
-    X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
+    One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the RNG order. A
+    block is folded in slices of the sampler's max(1, _UNIFORM_SLICE // d^2) unitaries, d = n^2,
+    in three buffers of <= 2^16 entries for W = U x U, X and conj(W), laid out as W[r, c, b]
+    (b the sample): X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
     """
     a = np.asarray(a, dtype=complex)
     d = n * n
@@ -201,12 +201,15 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
         raise ValueError(f"expected a {d}x{d} matrix, got shape {a.shape}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    total = np.zeros((d, d), dtype=complex)
+    step, total = max(1, _UNIFORM_SLICE // (d * d)), np.zeros((d, d), dtype=complex)
+    buffers = np.empty((3, d * d * min(step, samples)), dtype=complex)  # reused: no re-faults
     for b in _block_sizes(samples, _TWIRL_BLOCK):
-        ut = np.ascontiguousarray(haar_unitary_batch(rng, n, b).transpose(1, 2, 0))
-        w = (ut[:, None, :, None] * ut[None, :, None, :]).reshape(d, d, b)
-        x = a.T @ w
-        total += x.reshape(d, d * b) @ w.reshape(d, d * b).conj().T
+        for part in np.split(haar_unitary_batch(rng, n, b), range(step, b, step)):
+            ut = np.ascontiguousarray(part.transpose(1, 2, 0))
+            w, x, w_conj = (buf[:d * d * ut.shape[2]].reshape(d, d, -1) for buf in buffers)
+            np.multiply(ut[:, None, :, None], ut[None, :, None, :], out=w.reshape(n, n, n, n, -1))
+            np.matmul(a.T, w, out=x)
+            total += x.reshape(d, -1) @ np.conjugate(w, out=w_conj).reshape(d, -1).T
     return total / samples
 
 

@@ -341,7 +341,16 @@ def test_figure1_unwritable_path(tmp_path, capsys):
     code, _, err = run_cli(capsys, "figure1", "--max-exp", "1", "--samples", "100",
                            "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 2
-    assert "cannot write" in err
+    assert err.startswith(f"error: cannot write {tmp_path / 'missing' / 'x.csv'}: ")
+
+
+def test_figure1_unwritable_svg_path_names_it(tmp_path, capsys):
+    svg_path = tmp_path / "missing" / "x.svg"
+    code, out, err = run_cli(capsys, "figure1", "--max-exp", "1", "--samples", "100",
+                             "--out", str(tmp_path / "x.csv"), "--svg", str(svg_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {svg_path}: ")
+    assert (tmp_path / "x.csv").read_text().startswith("N,analytic,")
 
 
 def test_size_refusals_advise_only_what_the_command_takes(capsys):

@@ -247,6 +247,36 @@ def test_twirl_mc_matches_einsum_reference_and_rng_order(n, monkeypatch):
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_twirl_mc_fold_slices_match_einsum_reference(n):
+    # at the default block: two full blocks and a short last one, so at N = 2 (a slice
+    # of 4096 unitaries, one per block) two full slices and a short one, and at N = 3
+    # (slices of 809) five full slices and a short one in each full block
+    step = max(1, sampling._UNIFORM_SLICE // n**4)
+    assert step == {2: 4096, 3: 809}[n]
+    samples = 2 * oracles._TWIRL_BLOCK + 37
+    a = RngStream(241, n).complex_normal((n * n) ** 2).reshape(n * n, n * n)
+    rng, ref_rng = RngStream(269, n), RngStream(269, n)
+    emp = oracles.twofold_twirl_mc(a, n, samples, rng)
+    ref = _twirl_mc_einsum(a, n, samples, ref_rng, oracles._TWIRL_BLOCK)
+    assert float(np.abs(emp - ref).max()) <= 1e-14
+    assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+
+
+def test_twirl_mc_holds_one_fold_slice():
+    # one block of 4096 unitaries at N = 3 folded in slices of 809 through three 1 MB
+    # buffers (4.8 MiB measured); the whole block's W, X and conj(W), 5.3 MB each,
+    # peaked at 15.8 MiB
+    oracles.twofold_twirl_mc(np.eye(9), 3, 10, RngStream(2, 0))
+    tracemalloc.start()
+    try:
+        oracles.twofold_twirl_mc(np.eye(9), 3, 4096, RngStream(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def _vandermonde_values(rng, n, b):
     mu = rng.exponential(b * n).reshape(b, n)
     f = np.sqrt(mu[:, 0] * mu[:, 1])
