@@ -32,10 +32,8 @@ def _skew(d):
 
 def _shannon(x):
     """Shannon entropy -sum_k x_k log x_k over the last axis, natural log, with
-    0 log 0 = 0. scipy loads on first use, as only rel-ent needs it. Raises
-    ValueError on a NaN entry."""
-    from scipy.special import xlogy
-    value = -xlogy(x, x).sum(axis=-1)
+    0 log 0 = 0. Raises ValueError on a NaN entry."""
+    value = -(x * np.log(x, out=np.zeros_like(x), where=x != 0)).sum(axis=-1)
     if np.isnan(value).any():
         raise ValueError("entropy of a probability vector with a NaN entry")
     return value

@@ -65,8 +65,8 @@ def test_criterion_4_laguerre_moment_oracle():
 
 
 def test_criterion_5_vandermonde_integral():
-    # the verify check itself, with its gates: n=2 against 3pi/4 and the
-    # closed form, n=3 against the closed form, each within 4 sigma
+    # the verify check itself, with its gates: n=2 and n=3 against the closed
+    # form, each within 4 sigma, and the n=2 closed form against 3pi/4 exactly
     result = verification.check_vandermonde_mc(5000)
     _report("criterion 5 (exp-weighted Vandermonde integral, n=2,3)",
             result.passed, result.detail)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -58,65 +59,53 @@ def test_module_entry_point_runs_and_fails_closed(dim, code):
         assert proc.stdout == "" and "positive integer" in proc.stderr
 
 
-# Runs CLI commands one after the other in a fresh interpreter. Prints one JSON
-# line after the import and one per command: exit code, stdout and the scipy
-# modules loaded so far.
-_SCIPY_PROBE = """
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: no import statement of the package,
+    # function-level ones included, names scipy
+    imported = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert ("coherence.py", "numpy") in imported
+    assert [(name, module) for name, module in imported
+            if module.split(".")[0] == "scipy"] == []
+
+
+# Runs CLI commands one after the other in a fresh interpreter in which every
+# import of scipy raises ImportError; prints one [exit code, stdout] per command.
+_WITHOUT_SCIPY = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None
 from haar_coherence import cli
 
-def report(**fields):
-    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(json.dumps(dict(fields, scipy=scipy)), file=sys.__stdout__)
-
-report(argv=None)
+outputs = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    report(argv=argv, code=code, stdout=out.getvalue())
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
 """
 
 
-def run_scipy_probe(commands):
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)],
-                          env=fresh_env(), capture_output=True, text=True, check=True)
-    return [json.loads(line) for line in proc.stdout.splitlines()]
-
-
-def test_skew_closed_form_and_verify_commands_never_import_scipy(tmp_path):
-    commands = [
-        ["mc", "--ensemble", "pure", "--dim", "5", "--samples", "3000"],
-        ["mc", "--ensemble", "mixed", "--dim", "3", "--samples", "3000", "--threads", "2"],
-        ["tail", "--ensemble", "pure", "--dim", "8", "--epsilon", "0.1", "--samples", "3000"],
-        ["tail", "--ensemble", "mixed", "--dim", "3", "--epsilon", "0.1", "--samples", "3000"],
-        ["figure1", "--max-exp", "2", "--samples", "3000", "--out", str(tmp_path / "f.csv"),
-         "--svg", str(tmp_path / "f.svg")],
-        *(["closed-form", "--measure", m, "--dim", "8"]
-          for m in cli._CLOSED_FORM_MEASURES if m != "subspace-dim"),
-        ["closed-form", "--measure", "subspace-dim", "--dim", "64", "--epsilon", "0.01"],
-        ["verify", "--suite", "all"],
-    ]
-    steps = run_scipy_probe(commands)
-    assert [step["argv"] for step in steps] == [None] + commands
-    assert [step.get("code", 0) for step in steps] == [0] * len(steps)
-    assert [step["argv"] for step in steps if step["scipy"]] == []
-
-
-def test_rel_ent_imports_scipy_on_first_use_and_keeps_its_bytes(capsys, simd_class):
+def test_rel_ent_runs_without_scipy_and_keeps_its_bytes(simd_class):
+    # the two rel-ent golden cases of test_golden.py, per SIMD class
     pure = ["mc", "--ensemble", "pure", "--dim", "29", "--samples", "20000", "--seed", "1",
             "--measure", "rel-ent"]
-    mixed = ["mc", "--ensemble", "mixed", "--dim", "4", "--samples", "3000", "--seed", "2",
-             "--measure", "rel-ent", "--format", "json"]
-    imported, first, second = run_scipy_probe([pure, mixed])
-    assert imported["scipy"] == []
-    assert "scipy.special" in first["scipy"]
-    # the pure value is also pinned in test_golden.py, per SIMD class
-    mean = {"avx512": "2.9620892878915224", "baseline": "2.962089287891522"}[simd_class]
-    assert first["stdout"] == ("ensemble,N,measure,mean,stderr,samples,seed\n"
-                               f"pure,29,rel-ent,{mean},0.0006734778905225037,20000,1\n")
-    assert second["code"] == 0
-    assert second["stdout"] == run_cli(capsys, *mixed)[1]
+    mixed = ["mc", "--ensemble", "mixed", "--dim", "2", "--samples", "100000", "--seed", "3",
+             "--measure", "rel-ent"]
+    pure_mean, mixed_mean = {"avx512": ("2.9620892878915224", "0.24949364458926387"),
+                             "baseline": ("2.962089287891522", "0.24949364458926385")}[simd_class]
+    header = "ensemble,N,measure,mean,stderr,samples,seed\n"
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps([pure, mixed])],
+                          env=fresh_env(), capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [
+        [0, header + f"pure,29,rel-ent,{pure_mean},0.0006734778905225037,20000,1\n"],
+        [0, header + f"mixed,2,rel-ent,{mixed_mean},0.0005416966895107071,100000,3\n"],
+    ]
 
 
 def test_closed_form_mixed_avg(capsys):

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
-from haar_coherence.coherence import (relative_entropy_coherence,
+from haar_coherence.coherence import (_shannon, relative_entropy_coherence,
                                       skew_coherence, skew_coherence_pure,
                                       skew_information, sqrt_diagonal)
 from haar_coherence.linalg import hermitian_part, partial_trace_b, sqrt_psd
@@ -110,6 +112,47 @@ def test_relative_entropy_coherence_of_pure_state_is_population_entropy():
         p = np.abs(psi) ** 2
         expected = -(p * np.log(p)).sum()
         assert relative_entropy_coherence(rho) == pytest.approx(expected, abs=1e-8)
+
+
+def _probability_rows(n, rows=20000):
+    e = RngStream(61, n).exponential(rows * n).reshape(rows, n)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 29, 100])
+def test_shannon_matches_xlogy(n, simd_class):
+    # x log x with numpy's log against scipy's xlogy, which takes libm's log: the
+    # same bits on the baseline class. numpy's AVX-512 log differs from libm's in
+    # the last bit of some entries, which the product can double to 2 ulps of an
+    # entry; a row sums up to N such entries.
+    p = _probability_rows(n)
+    entries, rows = _shannon(p.reshape(-1, 1)), _shannon(p)
+    terms = -xlogy(p, p)
+    expected_entries, expected_rows = terms.reshape(-1), terms.sum(axis=-1)
+    if simd_class == "baseline":
+        assert np.array_equal(entries, expected_entries) and np.array_equal(rows, expected_rows)
+    else:
+        assert (np.abs(entries - expected_entries) <= 2 * np.spacing(expected_entries)).all()
+        assert (np.abs(rows - expected_rows) <= 2 * n * np.spacing(expected_rows)).all()
+
+
+def test_shannon_zero_entries_add_nothing():
+    # rows shorter than 8 entries are summed in order, so adding 0 log 0 = 0 is exact
+    p = _probability_rows(3, rows=1000)
+    zeros = np.zeros((len(p), 1))
+    padded = np.concatenate([zeros, p[:, :1], zeros, p[:, 1:], zeros], axis=1)
+    assert np.array_equal(_shannon(padded), _shannon(p))
+
+
+def test_shannon_rejects_nan_and_never_warns_at_zero():
+    with pytest.raises(ValueError, match="NaN"):
+        _shannon(np.array([0.5, np.nan, 0.5]))
+    with pytest.raises(ValueError, match="NaN"):
+        _shannon(np.array([[0.5, 0.5], [np.nan, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _shannon(np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert np.array_equal(values, np.zeros(3))
 
 
 def test_coherence_range_on_random_states():

@@ -297,7 +297,7 @@ def test_group_working_set_is_within_its_estimate(measure):
     task = _coherence_task("pure", 2, measure)
     _, chunks, _ = next(estimators._schedule(10**6, 1024, 2, threads=1)[0])  # the first group
     streams = [RngStream(5, k) for k in range(chunks)]
-    task(streams, 1024)  # rel-ent imports scipy on its first call
+    task(streams, 1024)  # warm-up: the first call makes the worker's draw buffer
     tracemalloc.start()
     try:
         task(streams, 1024)
@@ -313,7 +313,7 @@ def test_mixed_task_holds_one_slice(measure):
     # (3.8 MiB measured); holding its radii too it peaked at 11 MiB, and drawn and
     # reduced whole at 41 MiB
     task = _coherence_task("mixed", 32, measure)
-    task([RngStream(5, 0)], 2)  # rel-ent imports scipy on its first call
+    task([RngStream(5, 0)], 2)  # warm-up, so that only the traced call is measured
     tracemalloc.start()
     try:
         task([RngStream(5, 0)], 1024)

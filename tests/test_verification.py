@@ -71,7 +71,8 @@ VERIFY_ALL_GATES = [
     [("max deviation from identity", 1e-10)],
     [("max |series - quadrature|", cf.MOMENT_GATE)],
     [("worst absolute error", 1e-12)],
-    [("n=2 z vs 3pi/4", 4), ("n=2 z vs closed form", 4), ("n=3 z vs closed form", 4)],
+    [("n=2 z vs closed form", 4), ("n=3 z vs closed form", 4),
+     ("n=2 |closed form - 3pi/4|", 1e-12)],
     [("max |twirl(A) - A|", 0)],
     [("worst entrywise error / (5 |A| / sqrt(S))", 1)],
     [("n=2 z", 4), ("n=3 z", 4), ("n=2 |closed form - (1 + 3pi/16)|", 1e-12)],
