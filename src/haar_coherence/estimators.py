@@ -242,17 +242,15 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
 
 
 def _coherence_task(ensemble: str, n: int, measure: str):
-    """task(streams, count) -> (len(streams), count): the measure on `count`
-    states of the ensemble from each stream.
+    """task(streams, count) -> (len(streams), count): the measure on `count` states of the
+    ensemble from each stream.
 
-    Each ensemble pairs a batched sampler with the coherence kernels of what
-    it draws: Haar populations with the pure-state formulas, Hilbert-Schmidt
-    density matrices with skew_coherence and relative_entropy_coherence; a
-    kernel raises on an invalid state. `group_entries`, the draws per state (N
-    or N²), lets run_chunked group chunks and split calls into draw blocks. The
-    pure kernels work row by row, so one call covers all streams, drawn into
-    one buffer per worker; the mixed ones go stream by stream, a slice at a time.
-    """
+    Each ensemble pairs a batched sampler with the coherence kernels of what it draws: Haar
+    populations with the pure-state formulas, Hilbert-Schmidt density matrices with skew_coherence
+    and relative_entropy_coherence; a kernel raises on an invalid state. `group_entries`, the draws
+    per state (N or N²), lets run_chunked group chunks and split calls into draw blocks. The pure
+    kernels work row by row, so one call covers all streams, drawn into one buffer per worker; the
+    mixed ones go stream by stream, a sampler slice at a time (_hs_mixed_slices)."""
     if measure not in ("skew", "rel-ent"):
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
     if ensemble == "pure":

@@ -190,11 +190,10 @@ def twofold_twirl(a, n: int) -> np.ndarray:
 def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
     """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries.
 
-    One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the RNG order. A
-    block is folded in slices of the sampler's max(1, _UNIFORM_SLICE // d^2) unitaries, d = n^2,
-    in three buffers of <= 2^16 entries for W = U x U, X and conj(W), laid out as W[r, c, b]
-    (b the sample): X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†.
-    """
+    One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the RNG order. A block
+    is folded in slices of max(1, _UNIFORM_SLICE // d^2) unitaries, d = n^2, in three buffers of
+    <= 2^16 entries for W = U x U, X and conj(W), laid out as W[r, c, b] (b the sample):
+    X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†."""
     a = np.asarray(a, dtype=complex)
     d = n * n
     if a.shape != (d, d):
@@ -217,8 +216,11 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResu
     """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states."""
     _require_dim(n)
 
-    def values(b):
-        return np.concatenate([np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(axis=1) ** 2
-                               for states in _hs_mixed_slices(rng, n, b)])
+    def values(b):  # per state, so each slice fills its place in one array of the block's values
+        f, at = np.empty(b), 0
+        for states in _hs_mixed_slices(rng, n, b):
+            f[at:at + len(states)] = np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(1) ** 2
+            at += len(states)
+        return f
 
     return _finish(_block_stats(lambda b: values(b)[None], samples, _block_states(n * n)))

@@ -26,7 +26,9 @@ _GRAM_SCHMIDT_MAX_DIM = 3
 # 2^21 drawn entries in sampler slices (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31) the
 # step took 55 vs 271 ms at n = 2, 52 vs 110 at n = 3, 145 vs 80 at n = 4; <= 3.4e-16 apart.
 _ELEMENTWISE_GRAM_MAX_DIM = 3
-
+# Draws per hs_mixed_batch slice above it, on that host: a 1024-state chunk at N = 8-46 traced
+# 3.6-3.8 MiB at 2^16, 1.15 at 2^14; figure1 to N = 32 on 2 threads peaked at 47.2 vs 41.8 MB.
+_MATMUL_SLICE = 1 << 14
 _UNIFORM_SLICE = 65536  # draws per normal slice; states per Vandermonde oracle slice
 
 
@@ -208,23 +210,21 @@ def _gram(block: np.ndarray) -> np.ndarray:
 
 
 def _hs_mixed_slices(rng: RngStream, n: int, count: int):
-    """The `count` matrices of hs_mixed_batch as (b, n, n) slices of max(1, ⌊2^16/n²⌋) states,
-    each overwritten by the next, so one slice is held. No bit depends on the slice length."""
-    step = max(1, _UNIFORM_SLICE // (n * n)) * n * n
-    g = np.empty(min(step, count * n * n), dtype=complex)
-    for part in rng._normals(count * n * n, step, g):
+    """The `count` matrices of hs_mixed_batch as (b, n, n) slices of max(1, ⌊2^16/n²⌋) states
+    (2^14 above _ELEMENTWISE_GRAM_MAX_DIM), each overwritten by the next. No bit depends on b."""
+    step = max(1, (_UNIFORM_SLICE if n <= _ELEMENTWISE_GRAM_MAX_DIM else _MATMUL_SLICE) // n**2)
+    g = np.empty(min(step, count) * n * n, dtype=complex)
+    for part in rng._normals(count * n * n, step * n * n, g):
         yield _gram(part.reshape(-1, n, n))
 
 
 def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     """(count, n, n) array of Hilbert-Schmidt random density matrices.
 
-    Gram construction G G† / Tr(G G†) with G an n x n complex Gaussian matrix,
-    which is distributed exactly as the partial trace of a Haar bipartite pure
-    state on an n*n product space (Życzkowski & Sommers 2001), formed slice by
-    slice: 24 B per entry plus one slice. Each matrix is exactly Hermitian with a
-    real diagonal, so hermitian_part returns it unchanged bit for bit.
-    """
+    Gram construction G G† / Tr(G G†) with G an n x n complex Gaussian matrix, which is distributed
+    exactly as the partial trace of a Haar bipartite pure state on an n*n product space (Życzkowski
+    & Sommers 2001), formed slice by slice: 16 B per entry plus one slice. Each matrix is exactly
+    Hermitian with a real diagonal, so hermitian_part returns it unchanged bit for bit."""
     _require_dim(n)
     rho, at = np.empty((count, n, n), dtype=complex), 0
     for block in _hs_mixed_slices(rng, n, count):

@@ -309,26 +309,29 @@ def test_group_working_set_is_within_its_estimate(measure):
 
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
 def test_mixed_task_holds_one_slice(measure):
-    # a 1024-state block at N = 32 holds one slice of 64 states with its temporaries
-    # (3.8 MiB measured); holding its radii too it peaked at 11 MiB, and drawn and
-    # reduced whole at 41 MiB
-    task = _coherence_task("mixed", 32, measure)
-    task([RngStream(5, 0)], 2)  # warm-up, so that only the traced call is measured
-    tracemalloc.start()
-    try:
-        task([RngStream(5, 0)], 1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 2**20
+    # a 1024-state block holds one slice of 2^14 entries with its temporaries (1.15 MiB
+    # measured at N = 8, 32 and 46); slices of 2^16 entries peaked at 3.6-3.8 MiB, holding
+    # the radii too at 11 MiB (N = 32), and drawn and reduced whole at 41 MiB
+    for n in (8, 32, 46):
+        task = _coherence_task("mixed", n, measure)
+        task([RngStream(5, 0)], 2)  # warm-up, so that only the traced call is measured
+        tracemalloc.start()
+        try:
+            task([RngStream(5, 0)], 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20, n
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
 def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
     # 1, 7, 1000 and 8192 states per slice, or slices longer than a draw block: the
     # same bytes at every N. Up to N = 3 the chunk is one slice by default, long
-    # enough that numpy's complex multiply rounded it otherwise than short slices
+    # enough that numpy's complex multiply rounded it otherwise than short slices.
+    # The slice is set by _UNIFORM_SLICE up to N = 3 and by _MATMUL_SLICE above
     samples, chunk = {2: (8200, 8200), 3: (2000, 2000)}.get(n, (1500, 700))
+    constant = "_UNIFORM_SLICE" if n <= sampling._ELEMENTWISE_GRAM_MAX_DIM else "_MATMUL_SLICE"
 
     def run():
         return [estimate_average("mixed", n, samples, seed=2, measure=measure, chunk_size=chunk)
@@ -337,7 +340,9 @@ def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
     expected = run()
     for slice_draws in [states * n * n for states in (1, 7, 1000, 8192)] + [
             2 * estimators._BLOCK_DRAWS]:
-        monkeypatch.setattr(sampling, "_UNIFORM_SLICE", slice_draws)
+        monkeypatch.setattr(sampling, constant, slice_draws)
+        states = len(next(sampling._hs_mixed_slices(RngStream(0), n, 1001)))
+        assert states == min(1001, slice_draws // (n * n))
         assert run() == expected
 
 

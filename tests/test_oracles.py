@@ -327,6 +327,20 @@ def test_spectral_mc_holds_one_slice():
     assert peak <= 8 * 2**20
 
 
+def test_spectral_mc_holds_one_copy_of_its_values():
+    # one block of 2^19 states at N = 2: its values (4 MiB), written slice by slice into
+    # one array, beside one slice and its Gram temporaries (7.52 MiB measured); the
+    # per-slice values concatenated into the block's peaked at 8.02 MiB
+    oracles.trace_sqrt_squared_mc(2, 10, RngStream(2, 0))
+    tracemalloc.start()
+    try:
+        oracles.trace_sqrt_squared_mc(2, 2**19, RngStream(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.75 * 2**20
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_vandermonde_mc_slices_keep_the_block_bits(n):
     # two full slices of states and a short last one in one block: the bits of the

@@ -280,8 +280,9 @@ def test_hs_mixed_slices_match_unsliced_formula(n):
     # two full slices and a short last one, against the whole block's normals drawn at
     # once and its Gram step run on all of them: the same bytes, and the stream left at
     # the same place. Up to N = 3 the Gram step is elementwise, within round-off of the
-    # matmul formula; at every N exactly Hermitian with an exactly real diagonal
-    per_slice = max(1, sampling._UNIFORM_SLICE // (n * n))
+    # matmul formula; at every N exactly Hermitian with an exactly real diagonal. A slice
+    # holds max(1, 2^16 // N^2) states up to N = 3 and max(1, 2^14 // N^2) above
+    per_slice = {1: 2**16, 2: 2**14, 3: 7281, 4: 2**10, 8: 2**8, 32: 16}[n]
     count = 2 * per_slice + 5
     whole, sliced = RngStream(31, n), RngStream(31, n)
     g = whole.complex_normal(count * n * n).reshape(count, n, n)
@@ -299,7 +300,7 @@ def test_hs_mixed_slices_match_unsliced_formula(n):
 
 def test_two_block_mixed_chunk_matches_unsliced_formula():
     # at N = 46 the engine draws a 1024-state chunk as two blocks, 991 + 33 states, and
-    # the sampler reads them 30 states a slice: each block has the bytes of its normals
+    # the sampler reads them 7 states a slice: each block has the bytes of its normals
     # drawn whole, and the second starts where the first left the stream
     n, blocks = 46, []
 
@@ -318,8 +319,9 @@ def test_two_block_mixed_chunk_matches_unsliced_formula():
 
 
 def test_hs_mixed_slices_hold_a_few_slices():
-    # 1024 states at N = 32 are 16 slices of 64 states (2^16 entries, 1 MiB): a call
-    # holds one slice and its Gram temporaries; drawing the radii whole held 8 MiB more
+    # 1024 states at N = 32 are 64 slices of 16 states (2^14 entries, 256 KiB): a call
+    # holds one slice and its Gram temporaries (1.13 MiB measured, 3.76 with slices of
+    # 2^16 entries); drawing the radii whole held 8 MiB more
     list(sampling._hs_mixed_slices(RngStream(5, 0), 32, 2))
     tracemalloc.start()
     try:
@@ -328,4 +330,4 @@ def test_hs_mixed_slices_hold_a_few_slices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 16 * sampling._UNIFORM_SLICE
+    assert peak <= 6 * 16 * sampling._MATMUL_SLICE
