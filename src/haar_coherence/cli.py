@@ -9,13 +9,10 @@ repeated runs with identical flags emit identical bytes.
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import closed_forms, estimators, svg, verification
 from .sampling import RngStream, haar_pure_batch, haar_unitary_batch, hs_mixed_batch
-
-_THREADS_ENV = "HAAR_COHERENCE_THREADS"
 
 # closed-form measures of the dimension alone, by closed_forms function name
 _CLOSED_FORMS = {"pure-avg": "avg_coherence_pure", "mixed-avg": "avg_coherence_mixed",
@@ -40,14 +37,6 @@ def _checked(convert, accept, wanted):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 _seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer seed in [0, 2^64)")
-
-
-def _default_threads():
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        return _positive_int(raw)
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"{_THREADS_ENV} must be a positive integer, got {raw!r}") from None
 
 
 def _print_record(record, fmt):
@@ -143,8 +132,8 @@ def build_parser():
 
     def chunk_and_threads(p):
         p.add_argument("--chunk", type=_positive_int, default=estimators.DEFAULT_CHUNK_SIZE)
-        p.add_argument("--threads", type=_positive_int, default=None,
-                       help=f"worker threads (default: ${_THREADS_ENV} or 1)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="worker threads, at most the usable CPUs")
 
     p = command("closed-form", _cmd_closed_form, "evaluate a closed-form quantity")
     p.add_argument("--dim", type=_positive_int, required=True, help="Hilbert space dimension")
@@ -187,7 +176,6 @@ def build_parser():
     p.add_argument("--ensemble", choices=("pure", "mixed", "unitary"), required=True)
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=42)
-    p.add_argument("--format", choices=("json",), default="json")
     return parser
 
 
@@ -195,8 +183,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "threads") and args.threads is None:
-            args.threads = _default_threads()
         return args.func(args)
     except closed_forms.PrecisionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

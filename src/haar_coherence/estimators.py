@@ -10,6 +10,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -179,12 +180,19 @@ def _block_states(entries: int) -> int:
     return max(1, _BLOCK_DRAWS // entries)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int,
               lower: str = "dimension, chunk size or thread count"):
-    """(jobs, block) of run_chunked for a task drawing `entries` per state (0: no group_entries):
-    a job (first chunk, chunks, states per chunk), made as it is taken, is a group of chunk
-    streams drawn at most `block` states per call. Refuses before any draw, naming `lower`,
-    runs whose blocks in flight (the first group's, on `threads` workers) pass MAX_BLOCK_BYTES."""
+    """(jobs, block, workers) of run_chunked for a task drawing `entries` per state (0: no
+    group_entries): a job (first chunk, chunks, states per chunk), made as it is taken, is a
+    group of chunk streams drawn at most `block` states per call, on `workers` threads, the
+    least of `threads`, the groups and the usable CPUs. Refuses before any draw, naming
+    `lower`, runs whose blocks in flight (the first group's on each worker) pass MAX_BLOCK_BYTES."""
     if total_samples < 1:
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
     if chunk_size < 1:
@@ -196,13 +204,13 @@ def _schedule(total_samples: int, chunk_size: int, entries: int, threads: int,
                            [(full, 1, rest)] * (rest > 0))
     block = _block_states(entries) if entries else chunk_size
     length, count = (min(per_group, full), chunk_size) if full else (1, rest)
-    groups = -(-full // per_group) + (rest > 0)
-    needed = length * min(count, block) * entries * _BYTES_PER_ENTRY * min(threads, groups)
+    workers = min(threads, -(-full // per_group) + (rest > 0), _usable_cpus())
+    needed = length * min(count, block) * entries * _BYTES_PER_ENTRY * workers
     if needed > MAX_BLOCK_BYTES:
         raise ValueError(f"draw blocks of {entries} entries per state need about "
                          f"{needed / 2**30:.3g} GiB, above the {MAX_BLOCK_BYTES / 2**30:g} GiB "
                          f"limit; use a smaller {lower}")
-    return jobs, block
+    return jobs, block, workers
 
 
 def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -214,9 +222,11 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     gets one chunk's stream or, if the task has `group_entries` (draws per state), those of
     the consecutive full chunks that fit in _GROUP_DRAWS, at most _BLOCK_DRAWS entries (one
     state or more) of each. Block statistics merge in stream order, chunks' in chunk order,
-    so threads and groups change only wall time. While the pool runs, OpenBLAS runs one thread.
+    so threads and groups change only wall time. `threads` is an upper bound: the pool never
+    outgrows the groups or the usable CPUs. While the pool runs, OpenBLAS runs one thread.
     """
-    jobs, block = _schedule(total_samples, chunk_size, getattr(task, "group_entries", 0), threads)
+    jobs, block, workers = _schedule(total_samples, chunk_size,
+                                     getattr(task, "group_entries", 0), threads)
     worker = threading.local()  # each pool thread keeps its own streams
 
     def one_group(job):
@@ -227,16 +237,16 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
             stream._rekey(master_seed, index)
         return _block_stats(functools.partial(task, streams[:length]), count, block)
 
-    def in_order(pool):  # at most 2·threads groups submitted ahead of the one being merged
-        pending = [pool.submit(one_group, job) for job in itertools.islice(jobs, 2 * threads)]
+    def in_order(pool):  # at most 2·workers groups submitted ahead of the one being merged
+        pending = [pool.submit(one_group, job) for job in itertools.islice(jobs, 2 * workers)]
         for job in jobs:
             pending.append(pool.submit(one_group, job))
             yield pending.pop(0).result()
         yield from (future.result() for future in pending)
 
     # the statistics fold as the groups finish, so they are never all held at once
-    if threads > 1:
-        with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with _single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
             return _finish(stats for group in in_order(pool) for stats in group)
     return _finish(stats for job in jobs for stats in one_group(job))
 

@@ -7,14 +7,13 @@ sub-seed per check so no two checks share a stream.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from zlib import crc32
 
 import numpy as np
 
-from . import closed_forms, oracles
+from . import closed_forms, estimators, oracles
 from .coherence import skew_coherence, skew_coherence_pure, skew_information
 from .estimators import _coherence_task, _single_threaded_blas, estimate_average
 from .linalg import hermitian_part, partial_trace_b, swap_operator
@@ -317,21 +316,15 @@ def _fail_closed(check, args) -> CheckResult:
                            error=f"raised {type(exc).__name__}: {exc}")
 
 
-def _workers() -> int:
-    """Pool size of run_suite: two, or one when only one CPU is usable. The checks spend most
-    of their time in numpy calls that release the interpreter lock, so two workers nearly
-    halve `verify --suite all` on a 2-core host."""
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    return min(2, len(affinity(0)) if affinity else os.cpu_count() or 1)
-
-
 def run_suite(suite: str, seed: int):
     """Run one of the named suites; returns the list of CheckResults in suite
     order.
 
-    The checks run concurrently on a small thread pool, with OpenBLAS on one
-    thread. Each check draws only from its own sub-seeded streams, so the
-    results do not depend on the number of workers.
+    The checks run concurrently on a pool of two threads (one where only one CPU is usable),
+    with OpenBLAS on one thread: they spend most of their time in numpy calls that release the
+    interpreter lock, so two workers nearly halve `verify --suite all` on a 2-core host. Each
+    check draws only from its own sub-seeded streams, so the results do not depend on the
+    number of workers.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
@@ -346,6 +339,6 @@ def run_suite(suite: str, seed: int):
         check_lipschitz_bipartite, check_polygamy, check_convexity, check_extremes,
         check_haar_invariance, check_sampler_consistency, check_mean_agreement)]
     jobs = oracle * (suite != "invariants") + invariant * (suite != "oracles")
-    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with _single_threaded_blas(), ThreadPoolExecutor(min(2, estimators._usable_cpus())) as pool:
         futures = [pool.submit(_fail_closed, check, args) for check, args in jobs]
         return [future.result() for future in futures]

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from haar_coherence import verification
+from haar_coherence import estimators, verification
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Report 64 usable CPUs, so that a pool reaches the thread count a test asks for on any
+    host; the engine never starts more threads than the CPUs it may use."""
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 64)
 
 
 @pytest.fixture(scope="session")

@@ -237,22 +237,22 @@ def test_mc_json_output(capsys):
     assert abs(record["mean"] - 0.25) < 0.02
 
 
-def test_mc_threads_flag_does_not_change_result(capsys):
+def test_mc_threads_flag_does_not_change_result(capsys, many_cpus):
     base = ["mc", "--ensemble", "mixed", "--dim", "3", "--samples", "4096", "--seed", "11"]
     _, serial, _ = run_cli(capsys, *base)
     _, threaded, _ = run_cli(capsys, *base, "--threads", "4")
     assert serial == threaded
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("HAAR_COHERENCE_THREADS", "2")
-    code, out, _ = run_cli(capsys, "mc", "--ensemble", "pure", "--dim", "2",
-                           "--samples", "2048", "--seed", "5")
-    assert code == 0
-    monkeypatch.setenv("HAAR_COHERENCE_THREADS", "zero")
-    code, _, err = run_cli(capsys, "mc", "--ensemble", "pure", "--dim", "2",
-                           "--samples", "2048", "--seed", "5")
-    assert code == 2 and "HAAR_COHERENCE_THREADS" in err
+def test_threads_default_to_one_and_sample_takes_no_format(capsys):
+    parser = cli.build_parser()
+    for argv in (["mc", "--ensemble", "pure", "--dim", "2"],
+                 ["tail", "--ensemble", "pure", "--dim", "2", "--epsilon", "0.1"],
+                 ["figure1", "--max-exp", "1", "--out", "sweep.csv"]):
+        assert parser.parse_args(argv).threads == 1
+    with pytest.raises(SystemExit) as exit_:
+        parser.parse_args(["sample", "--ensemble", "pure", "--dim", "2", "--format", "json"])
+    assert exit_.value.code == 2 and "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,7 +265,7 @@ def test_threads_env_fallback(capsys, monkeypatch):
      "--chunk", "1000", "--samples", "1000"),
     ("tail", "--ensemble", "mixed", "--dim", "100000", "--epsilon", "0.1"),
 ])
-def test_mc_and_tail_refuse_oversized_draw_blocks_up_front(capsys, monkeypatch, argv):
+def test_mc_and_tail_refuse_oversized_draw_blocks_up_front(capsys, monkeypatch, many_cpus, argv):
     # numpy unreachable from the engine and the samplers: any allocation
     # before the check would raise instead of exiting 2
     monkeypatch.setattr(estimators, "np", None)

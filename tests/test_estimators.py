@@ -31,12 +31,29 @@ def test_run_chunked_single_chunk_equals_stream_zero():
     assert result.mean == direct.mean()
 
 
-def test_run_chunked_worker_count_invariance():
+def test_run_chunked_worker_count_invariance(many_cpus):
     kwargs = dict(total_samples=5000, chunk_size=256, master_seed=11)
     serial = run_chunked(counting_task, **kwargs, threads=1)
     threaded = run_chunked(counting_task, **kwargs, threads=8)
     assert serial.mean == threaded.mean
     assert serial.stderr == threaded.stderr
+
+
+def test_pool_never_outgrows_the_usable_cpus(monkeypatch):
+    # 64 one-chunk groups asked onto 64 threads with 2 usable CPUs: the schedule
+    # (and with it the memory guard) counts two workers, and the pool runs on at
+    # most two threads with the bytes of one thread
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 2)
+    workers = set()
+
+    def task(streams, count):
+        workers.add(threading.get_ident())
+        return counting_task(streams, count)
+
+    assert estimators._schedule(6400, 100, 0, 64)[2] == 2
+    pooled = run_chunked(task, 6400, chunk_size=100, master_seed=3, threads=64)
+    assert len(workers) <= 2
+    assert pooled == run_chunked(counting_task, 6400, chunk_size=100, master_seed=3)
 
 
 def test_run_chunked_reproducible():
@@ -80,7 +97,7 @@ def test_schedule_makes_its_jobs_as_they_are_taken():
     for samples in (10**10, 10**12):
         tracemalloc.start()
         try:
-            jobs, block = estimators._schedule(samples, 1, 1, 2)
+            jobs, block, _ = estimators._schedule(samples, 1, 1, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -92,7 +109,7 @@ def test_schedule_makes_its_jobs_as_they_are_taken():
 
 
 @pytest.mark.parametrize("threads", [2, 3])
-def test_pool_keeps_a_bounded_window_of_groups(monkeypatch, threads):
+def test_pool_keeps_a_bounded_window_of_groups(monkeypatch, many_cpus, threads):
     # 200 one-chunk groups: at most 2·threads submitted ahead of the group
     # being merged, and the same bytes as one thread
     outstanding, most = set(), []
@@ -151,7 +168,7 @@ def openblas():
     set_(before)
 
 
-def test_pool_workers_see_one_blas_thread(openblas):
+def test_pool_workers_see_one_blas_thread(openblas, many_cpus):
     seen = []
 
     def task(streams, count):
@@ -163,7 +180,7 @@ def test_pool_workers_see_one_blas_thread(openblas):
     assert openblas() == 2
 
 
-def test_blas_threads_restored_when_a_task_raises(openblas):
+def test_blas_threads_restored_when_a_task_raises(openblas, many_cpus):
     def task(streams, count):
         raise RuntimeError("task failed")
 
@@ -172,7 +189,7 @@ def test_blas_threads_restored_when_a_task_raises(openblas):
     assert openblas() == 2
 
 
-def test_overlapping_pools_share_one_pin(openblas):
+def test_overlapping_pools_share_one_pin(openblas, many_cpus):
     # pool A ends while pool B still runs: B must stay pinned, and the count
     # must come back only when B ends too
     a_started, b_started, a_done = (threading.Event() for _ in range(3))
@@ -190,11 +207,11 @@ def test_overlapping_pools_share_one_pin(openblas):
         return counting_task(streams, count)
 
     def run_a():
-        run_chunked(task_a, 10, chunk_size=10, threads=2)
+        run_chunked(task_a, 20, chunk_size=10, threads=2)  # two groups: a pool
         a_done.set()
 
     a = threading.Thread(target=run_a)
-    b = threading.Thread(target=run_chunked, args=(task_b, 10),
+    b = threading.Thread(target=run_chunked, args=(task_b, 20),
                          kwargs=dict(chunk_size=10, threads=2))
     a.start()
     assert a_started.wait(10)
@@ -202,7 +219,7 @@ def test_overlapping_pools_share_one_pin(openblas):
     a.join(10)
     b.join(10)
     assert not a.is_alive() and not b.is_alive()
-    assert seen_by_b == [1]
+    assert seen_by_b == [1, 1]
     assert openblas() == 2
 
 
@@ -254,7 +271,7 @@ def check_memory(ensemble, n, samples, chunk_size, threads):
     estimators._schedule(samples, chunk_size, entries, threads)
 
 
-def test_block_memory_limit_counts_blocks_in_flight():
+def test_block_memory_limit_counts_blocks_in_flight(monkeypatch, many_cpus):
     # a one-state block of 22,369,621 pure entries sits just under the 2 GiB
     # estimate; one more entry, or two such blocks drawn at once, do not
     check = check_memory
@@ -270,9 +287,12 @@ def test_block_memory_limit_counts_blocks_in_flight():
     check("mixed", 4729, 10**6, 10**6, threads=1)
     with pytest.raises(ValueError, match="GiB limit"):
         check("mixed", 4730, 2, 1, threads=1)
+    # one usable CPU: one worker, so one block in flight whatever --threads asks
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 1)
+    check("pure", 11_184_811, 2, 1, threads=2)
 
 
-def test_block_memory_counts_a_group_of_pure_chunks(monkeypatch):
+def test_block_memory_counts_a_group_of_pure_chunks(monkeypatch, many_cpus):
     # at N = 2, 8 pure chunks of 1024 states, or 4 mixed ones, draw one group
     # of 2^14 entries at once
     group = estimators._GROUP_DRAWS * estimators._BYTES_PER_ENTRY
@@ -346,7 +366,7 @@ def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
         assert run() == expected
 
 
-def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch):
+def test_pure_block_estimate_stops_growing_at_block_draws(monkeypatch, many_cpus):
     # with the limit at one full block (2^21 entries) any chunk is admitted:
     # the estimate counts at most one block of states per chunk in flight
     full_block = estimators._BLOCK_DRAWS * estimators._BYTES_PER_ENTRY

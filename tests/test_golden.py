@@ -264,7 +264,7 @@ def test_mixed_avg_closed_form_is_golden(capsys, n, value):
 
 
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
-def test_pure_mc_bytes_independent_of_threads(capsys, measure):
+def test_pure_mc_bytes_independent_of_threads(capsys, many_cpus, measure):
     argv = ["mc", "--ensemble", "pure", "--dim", "5", "--samples", "9000",
             "--seed", "19", "--chunk", "700", "--measure", measure]
     one = run_cli(capsys, *argv, "--threads", "1")
@@ -272,7 +272,7 @@ def test_pure_mc_bytes_independent_of_threads(capsys, measure):
     assert one == two
 
 
-def test_mixed_mc_bytes_independent_of_threads(capsys):
+def test_mixed_mc_bytes_independent_of_threads(capsys, many_cpus):
     argv = ["mc", "--ensemble", "mixed", "--dim", "3", "--samples", "6000",
             "--seed", "13", "--chunk", "512"]
     one = run_cli(capsys, *argv, "--threads", "1")
@@ -281,7 +281,7 @@ def test_mixed_mc_bytes_independent_of_threads(capsys):
 
 
 @pytest.mark.parametrize("measure", ["skew", "rel-ent"])
-def test_mixed_mc_bytes_independent_of_threads_where_blas_threads(capsys, measure):
+def test_mixed_mc_bytes_independent_of_threads_where_blas_threads(capsys, many_cpus, measure):
     # at N = 32 OpenBLAS would thread the batched eigh/eigvalsh by default
     argv = ["mc", "--ensemble", "mixed", "--dim", "32", "--samples", "2048",
             "--seed", "17", "--chunk", "512", "--measure", measure]
@@ -290,7 +290,7 @@ def test_mixed_mc_bytes_independent_of_threads_where_blas_threads(capsys, measur
     assert one == two
 
 
-def test_figure1_bytes_independent_of_threads(capsys, tmp_path):
+def test_figure1_bytes_independent_of_threads(capsys, many_cpus, tmp_path):
     outputs = []
     for threads in ("1", "2"):
         csv_path = tmp_path / f"sweep{threads}.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from haar_coherence import closed_forms as cf
-from haar_coherence import oracles, verification
+from haar_coherence import estimators, oracles, verification
 from haar_coherence.closed_forms import MomentTable
 from haar_coherence.estimators import EstimatorResult
 from haar_coherence.sampling import RngStream
@@ -170,7 +170,7 @@ def test_ks_statistic_matches_scipy(case):
 @pytest.mark.parametrize("seed", [42, 7])
 def test_suite_results_do_not_depend_on_workers(monkeypatch, seed):
     def run(workers):
-        monkeypatch.setattr(verification, "_workers", lambda: workers)
+        monkeypatch.setattr(estimators, "_usable_cpus", lambda: workers)
         return [(r.name, r.passed, r.detail) for r in verification.run_suite("invariants", seed)]
 
     assert run(1) == run(2)
