@@ -110,9 +110,9 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    estimators._schedule(1, 1, args.dim ** (1 if args.ensemble == "pure" else 2), 1, "dimension")
-    sample = {"pure": haar_pure_batch, "mixed": hs_mixed_batch,
-              "unitary": haar_unitary_batch}[args.ensemble]
+    sample, power = {"pure": (haar_pure_batch, 1), "mixed": (hs_mixed_batch, 2),
+                     "unitary": (haar_unitary_batch, 2)}[args.ensemble]
+    estimators._schedule(1, 1, args.dim ** power, 1, "dimension")
     flat = sample(RngStream(args.seed, 0), args.dim, 1)[0].ravel()  # row-major
     print(json.dumps({"ensemble": args.ensemble, "dim": args.dim, "seed": args.seed,
                       "re": flat.real.tolist(), "im": flat.imag.tolist()}))
@@ -142,7 +142,7 @@ def build_parser():
                    help="deviation parameter (subspace-dim only)")
 
     p = command("mc", _cmd_mc, "Monte Carlo average of a coherence measure")
-    p.add_argument("--ensemble", choices=("pure", "mixed"), required=True)
+    p.add_argument("--ensemble", choices=estimators.ENSEMBLES, required=True)
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed, default=42)
@@ -151,7 +151,7 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = command("tail", _cmd_tail, "empirical tail frequency vs concentration bound")
-    p.add_argument("--ensemble", choices=("pure", "mixed"), required=True)
+    p.add_argument("--ensemble", choices=estimators.ENSEMBLES, required=True)
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--epsilon", type=_positive_float, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)

@@ -109,6 +109,14 @@ def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _require_table_size(n: int) -> None:
+    """Refuse a moment table of degrees 0..n-1 outside 1 <= n <= MAX_TABLE_SIZE, either route's."""
+    if n < 1:
+        raise ValueError(f"table size must be >= 1, got {n}")
+    if n > MAX_TABLE_SIZE:
+        raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
+
+
 def moment_table(n: int, q: float) -> MomentTable:
     """Symmetric n x n moment table for degrees 0..n-1, from the series.
 
@@ -121,10 +129,7 @@ def moment_table(n: int, q: float) -> MomentTable:
     Refuses n above MAX_TABLE_SIZE before allocating anything: the series
     costs O(n^3) and the table O(n^2) memory.
     """
-    if n < 1:
-        raise ValueError(f"table size must be >= 1, got {n}")
-    if n > MAX_TABLE_SIZE:
-        raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
+    _require_table_size(n)
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
     g, b = _gamma_ratios(q, n), _gen_binomial_array(q, n - 1)

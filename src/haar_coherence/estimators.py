@@ -23,6 +23,7 @@ from .linalg import _require_dim
 from .sampling import RngStream, _hs_mixed_slices, haar_populations_batch
 
 DEFAULT_CHUNK_SIZE = 1024
+ENSEMBLES = ("pure", "mixed")  # the state ensembles, told apart in _coherence_task alone
 
 # Draws per stream and call of every draw block that _block_stats folds, the engine's and
 # the oracles'; fixed so the stream consumption order (hence the result) never depends on memory.
@@ -251,37 +252,46 @@ def run_chunked(task, total_samples: int, chunk_size: int = DEFAULT_CHUNK_SIZE,
     return _finish(stats for job in jobs for stats in one_group(job))
 
 
-def _coherence_task(ensemble: str, n: int, measure: str):
-    """task(streams, count) -> (len(streams), count): the measure on `count` states of the
-    ensemble from each stream.
+def _values(slices, kernel):
+    """task(streams, count) -> (len(streams), count): kernel(states) of each slice that
+    slices(streams, count) yields, written in stream order into one array."""
+    def task(streams, count):
+        values, at = np.empty(len(streams) * count), 0
+        for states in slices(streams, count):
+            values[at:at + len(states)] = kernel(states)
+            at += len(states)
+        return values.reshape(len(streams), count)
+    return task
 
-    Each ensemble pairs a batched sampler with the coherence kernels of what it draws: Haar
-    populations with the pure-state formulas, Hilbert-Schmidt density matrices with skew_coherence
-    and relative_entropy_coherence; a kernel raises on an invalid state. `group_entries`, the draws
-    per state (N or N²), lets run_chunked group chunks and split calls into draw blocks. The pure
-    kernels work row by row, so one call covers all streams, drawn into one buffer per worker; the
-    mixed ones go stream by stream, a sampler slice at a time (_hs_mixed_slices)."""
+
+def _coherence_task(ensemble: str, n: int, measure: str, then=None):
+    """task(streams, count) -> (len(streams), count): the measure on `count` states of the ensemble
+    from each stream, mapped elementwise by `then` if given; the one place that tells ensembles
+    apart. Pure: the pure-state kernels work row by row, so one slice of Haar populations covers
+    all streams, drawn into a buffer per worker. Mixed: skew_coherence or relative_entropy_coherence
+    on _hs_mixed_slices, stream by stream. A kernel raises on an invalid state. The task carries
+    `group_entries` (N or N² draws per state, for run_chunked), mean(n) and bound(n, epsilon)."""
     if measure not in ("skew", "rel-ent"):
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
     if ensemble == "pure":
         kernel = _skew if measure == "skew" else _shannon
+        entries, mean, bound = n, closed_forms.avg_coherence_pure, closed_forms.tail_bound_pure
         worker = threading.local()  # a draw buffer per pool thread
 
-        def task(streams, count):
+        def slices(streams, count):
             if getattr(worker, "buffer", np.empty(0)).size < len(streams) * count * n:
                 worker.buffer = np.empty(len(streams) * count * n)
-            return kernel(haar_populations_batch(streams, n, count, worker.buffer)).reshape(
-                len(streams), count)
-
+            yield haar_populations_batch(streams, n, count, worker.buffer)
     elif ensemble == "mixed":
         kernel = skew_coherence if measure == "skew" else relative_entropy_coherence
+        entries, mean, bound = n**2, closed_forms.avg_coherence_mixed, closed_forms.tail_bound_mixed
 
-        def task(streams, count):
-            return np.stack([np.concatenate([kernel(s) for s in _hs_mixed_slices(rng, n, count)])
-                             for rng in streams])
+        def slices(streams, count):
+            return (states for rng in streams for states in _hs_mixed_slices(rng, n, count))
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
-    task.group_entries = n if ensemble == "pure" else n * n
+    task = _values(slices, kernel if then is None else lambda states: then(kernel(states)))
+    task.group_entries, task.mean, task.bound = entries, mean, bound
     return task
 
 
@@ -304,16 +314,9 @@ def estimate_tail(ensemble: str, n: int, epsilon: float, samples: int, seed: int
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    base = _coherence_task(ensemble, n, "skew")
-    _schedule(samples, chunk_size, base.group_entries, threads)  # refuse before the center
-    pure = ensemble == "pure"
-    center = (closed_forms.avg_coherence_pure if pure else closed_forms.avg_coherence_mixed)(n)
-    bound = (closed_forms.tail_bound_pure if pure else closed_forms.tail_bound_mixed)(n, epsilon)
-
-    def task(streams, count):
-        return (np.abs(base(streams, count) - center) > epsilon).astype(float)
-
-    task.group_entries = base.group_entries
+    task = _coherence_task(ensemble, n, "skew", lambda c: (abs(c - center) > epsilon).astype(float))
+    _schedule(samples, chunk_size, task.group_entries, threads)  # refuse before the center
+    center, bound = task.mean(n), task.bound(n, epsilon)
     result = run_chunked(task, samples, chunk_size, seed, threads)
     return TailEstimate(frequency=result.mean, bound=bound, epsilon=epsilon,
                         n_samples=result.n_samples, center=center)

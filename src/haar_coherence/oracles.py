@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import MAX_TABLE_SIZE, MomentTable
+from .closed_forms import MomentTable, _require_table_size
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _block_stats, _finish,
-                         _single_threaded_blas)
+                         _single_threaded_blas, _values)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
 from .sampling import _UNIFORM_SLICE, RngStream, _hs_mixed_slices, haar_unitary_batch
 
@@ -130,10 +130,7 @@ def _scaled_laguerre_rows(n_rows: int, x: np.ndarray) -> np.ndarray:
 def quadrature_moment_table(n: int, q: float) -> MomentTable:
     """Full moment table for degrees 0..n-1 from one shared (n + 2)-node rule;
     refuses n above MAX_TABLE_SIZE, as the series does, before allocating."""
-    if n < 1:
-        raise ValueError(f"table size must be >= 1, got {n}")
-    if n > MAX_TABLE_SIZE:
-        raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
+    _require_table_size(n)
     nodes, scaled = _scaled_rule(q, n + 2)
     rows = _scaled_laguerre_rows(n, nodes)
     values = (rows * scaled) @ rows.T
@@ -213,14 +210,9 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
 
 
 def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
-    """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states."""
+    """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states; each draw block
+    fills one array of its values, a sampler slice at a time (estimators._values)."""
     _require_dim(n)
-
-    def values(b):  # per state, so each slice fills its place in one array of the block's values
-        f, at = np.empty(b), 0
-        for states in _hs_mixed_slices(rng, n, b):
-            f[at:at + len(states)] = np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(1) ** 2
-            at += len(states)
-        return f
-
-    return _finish(_block_stats(lambda b: values(b)[None], samples, _block_states(n * n)))
+    task = _values(lambda streams, b: _hs_mixed_slices(streams[0], n, b),
+                   lambda states: np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(1) ** 2)
+    return _finish(_block_stats(lambda b: task([rng], b), samples, _block_states(n * n)))

@@ -297,11 +297,10 @@ def check_sampler_consistency(seed):
 
 def check_mean_agreement(seed):
     z = []
-    for ensemble, analytic in (("pure", closed_forms.avg_coherence_pure),
-                               ("mixed", closed_forms.avg_coherence_mixed)):
+    for ensemble in estimators.ENSEMBLES:
         for n in (2, 4):
             est = estimate_average(ensemble, n, 2 * 10**4, _subseed(seed, f"agree-{ensemble}-{n}"))
-            z.append(abs(est.mean - analytic(n)) / est.stderr)
+            z.append(abs(est.mean - _coherence_task(ensemble, n, "skew").mean(n)) / est.stderr)
     return CheckResult("MC ensemble means vs closed forms (2x10^4 samples)",
                        (("worst z", _worst(*z), 4),))
 

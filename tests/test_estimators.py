@@ -1,4 +1,6 @@
+import argparse
 import math
+import re
 import threading
 import tracemalloc
 
@@ -522,6 +524,62 @@ def test_estimate_tail_mixed_states():
     assert 0.0 < tail.frequency < 1.0
     two = estimate_tail("mixed", 3, 0.05, 3000, seed=3, chunk_size=700, threads=2)
     assert two == tail
+
+
+def test_ensembles_are_told_apart_in_one_place():
+    # every entry point refuses an unknown ensemble with _coherence_task's error
+    unknown = "unknown ensemble 'induced'; expected 'pure' or 'mixed'"
+    for call in (lambda: estimate_average("induced", 3, 10, seed=1),
+                 lambda: estimate_tail("induced", 3, 0.1, 10, seed=1),
+                 lambda: _coherence_task("induced", 3, "skew")):
+        with pytest.raises(ValueError, match=re.escape(unknown)):
+            call()
+    # the CLI offers exactly ENSEMBLES to mc and tail
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command in ("mc", "tail"):
+        (ensemble,) = (a for a in commands[command]._actions if a.dest == "ensemble")
+        assert tuple(ensemble.choices) == estimators.ENSEMBLES == ("pure", "mixed")
+    # each task carries its draws per state and its ensemble's closed forms
+    closed = {"pure": (1, cf.avg_coherence_pure, cf.tail_bound_pure),
+              "mixed": (2, cf.avg_coherence_mixed, cf.tail_bound_mixed)}
+    for ensemble in estimators.ENSEMBLES:
+        power, mean, bound = closed[ensemble]
+        for n in (2, 3):
+            task = _coherence_task(ensemble, n, "skew")
+            assert task.group_entries == n**power
+            assert task.mean is mean and task.bound is bound
+
+
+def _tail_task(monkeypatch, ensemble, n, epsilon):
+    """The task estimate_tail hands the engine, and the center it measures from."""
+    handed = []
+
+    def engine(task, *args):
+        handed.append(task)
+        return estimators.EstimatorResult(mean=0.0, stderr=0.0, n_samples=2)
+
+    monkeypatch.setattr(estimators, "run_chunked", engine)
+    center = estimate_tail(ensemble, n, epsilon, 2, seed=1).center
+    return handed[0], center
+
+
+@pytest.mark.parametrize("ensemble, n, epsilon, streams, count", [
+    ("pure", 2, 0.1, 8, 1024),   # one group of 8 chunks, one slice for all streams
+    ("mixed", 46, 0.004, 2, 30),  # slices of 7 states: 7 + 7 + 7 + 7 + 2 per stream
+])
+def test_tail_task_flags_the_measure_task_values(monkeypatch, ensemble, n, epsilon, streams,
+                                                 count):
+    if ensemble == "mixed":
+        assert len(next(sampling._hs_mixed_slices(RngStream(0), n, count))) == 7
+    tail, center = _tail_task(monkeypatch, ensemble, n, epsilon)
+    assert tail.group_entries == _coherence_task(ensemble, n, "skew").group_entries
+    assert center == _coherence_task(ensemble, n, "skew").mean(n)
+    values = _coherence_task(ensemble, n, "skew")([RngStream(61, k) for k in range(streams)],
+                                                  count)
+    flags = tail([RngStream(61, k) for k in range(streams)], count)
+    assert flags.dtype == np.float64 and 0.0 < flags.mean() < 1.0
+    assert np.array_equal(flags, (np.abs(values - center) > epsilon).astype(float))
 
 
 def test_figure1_sweep_rows():
