@@ -269,8 +269,8 @@ def _coherence_task(ensemble: str, n: int, measure: str, then=None):
     from each stream, mapped elementwise by `then` if given; the one place that tells ensembles
     apart. Pure: the pure-state kernels work row by row, so one slice of Haar populations covers
     all streams, drawn into a buffer per worker. Mixed: skew_coherence or relative_entropy_coherence
-    on _hs_mixed_slices, stream by stream. A kernel raises on an invalid state. The task carries
-    `group_entries` (N or N² draws per state, for run_chunked), mean(n) and bound(n, epsilon)."""
+    on _hs_mixed_slices of all streams, one buffer a call. A kernel raises on an invalid state.
+    The task carries `group_entries` (N or N² draws per state, for run_chunked), mean(n), bound."""
     if measure not in ("skew", "rel-ent"):
         raise ValueError(f"unknown measure {measure!r}; expected 'skew' or 'rel-ent'")
     if ensemble == "pure":
@@ -287,7 +287,7 @@ def _coherence_task(ensemble: str, n: int, measure: str, then=None):
         entries, mean, bound = n**2, closed_forms.avg_coherence_mixed, closed_forms.tail_bound_mixed
 
         def slices(streams, count):
-            return (states for rng in streams for states in _hs_mixed_slices(rng, n, count))
+            return _hs_mixed_slices(streams, n, count)
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}; expected 'pure' or 'mixed'")
     task = _values(slices, kernel if then is None else lambda states: then(kernel(states)))

@@ -34,29 +34,10 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-# The scaled recurrences below carry each node's value as m 2^s. Shifting m
-# by exact powers of two changes no bit wherever nothing under- or overflows,
-# and keeps |m| near or below 2^_SCALE_BITS however small e^{-x/2} gets.
+# _scaled_rows carries each node's value as m 2^s. Shifting m by exact powers
+# of two changes no bit wherever nothing under- or overflows, and keeps |m|
+# near or below 2^_SCALE_BITS however small e^{-x/2} gets.
 _SCALE_BITS = 500
-
-
-def _half_exp(x: np.ndarray):
-    """Mantissa m >= 2^-_SCALE_BITS and exponent s <= 0 with m 2^s = e^{-x/2}.
-
-    e^{-x/2} at the largest node is subnormal from a 364-point rule on and 0
-    from 383 points on; s is 0 wherever e^{-x/2} >= 2^-_SCALE_BITS.
-    """
-    s = np.minimum(_SCALE_BITS - np.ceil(x / (2 * math.log(2.0))), 0.0).astype(np.intc)
-    return np.exp(-x / 2 - s * math.log(2.0)), s
-
-
-def _renormalize(prev: np.ndarray, cur: np.ndarray, s: np.ndarray):
-    # One dot product is the cheapest test per step; it exceeds the bound
-    # whenever some |cur| > 2^_SCALE_BITS, and is inf or NaN if cur is.
-    if not np.dot(cur, cur) <= 2.0 ** (2 * _SCALE_BITS):
-        shift = np.where(np.abs(cur) > 2.0**_SCALE_BITS, -_SCALE_BITS, 0).astype(np.intc)
-        prev, cur, s = np.ldexp(prev, shift), np.ldexp(cur, shift), s - shift
-    return prev, cur, s
 
 
 def _laguerre_nodes(alpha: float, n_nodes: int) -> np.ndarray:
@@ -70,32 +51,54 @@ def _laguerre_nodes(alpha: float, n_nodes: int) -> np.ndarray:
                                   + np.diag(np.sqrt(i[1:] * (i[1:] + alpha)), -1))
 
 
-def _scaled_rule(alpha: float, n_nodes: int):
-    """Nodes plus weights premultiplied by e^{x} (the Christoffel function of
-    the e^{-x/2}-scaled orthonormal polynomials).
+def _scaled_rows(alpha: float, n_rows: int, x: np.ndarray) -> np.ndarray:
+    """(n_rows, len(x)) array whose row k is p_k(x) e^{-x/2}, p_k the orthonormal polynomials
+    of the weight x^alpha e^{-x}: p_0 = Gamma(alpha + 1)^{-1/2} and b_k p_k = (x - a_{k-1})
+    p_{k-1} - b_{k-1} p_{k-2}, a_k = 2k + alpha + 1, b_k = sqrt(k (k + alpha)).
 
-    Working in scaled space keeps every intermediate O(1); the raw weights at
-    the largest nodes of a 100+ point rule are ~1e-220 and their eigenvector
-    components underflow when squared.
+    The scaling commutes with the linear recurrence and avoids the ~1e100
+    magnitudes of the raw polynomials. At alpha = 0, a_k = 2k + 1 and
+    b_k = sqrt(k k) = k are exact and IEEE arithmetic is odd in each sign, so
+    the rows are (-1)^k L_k(x) e^{-x/2} bit for bit.
     """
     try:
         mu0 = math.exp(math.lgamma(alpha + 1.0))
     except OverflowError:
         raise ValueError(f"weight exponent {alpha} is too large: "
                          f"Gamma({alpha} + 1) overflows a double") from None
-    nodes = _laguerre_nodes(alpha, n_nodes)
-    cur, s = _half_exp(nodes)
-    cur = cur / math.sqrt(mu0)
-    prev = np.zeros_like(nodes)
-    norm_sum = np.ldexp(cur, s)**2
-    for k in range(1, n_nodes):
-        a_prev = 2 * (k - 1) + alpha + 1
-        b_prev = math.sqrt((k - 1) * (k - 1 + alpha)) if k >= 2 else 0.0
+    # e^{-x/2} = m 2^s, m >= 2^-_SCALE_BITS and s <= 0, s = 0 wherever e^{-x/2} >= 2^-_SCALE_BITS;
+    # at the largest node e^{-x/2} is subnormal from a 364-point rule on and 0 from 383 on.
+    s = np.minimum(_SCALE_BITS - np.ceil(x / (2 * math.log(2.0))), 0.0).astype(np.intc)
+    cur = np.exp(-x / 2 - s * math.log(2.0)) / math.sqrt(mu0)
+    rows, prev, b_prev = np.empty((n_rows, x.size)), np.zeros_like(x), 0.0
+    np.ldexp(cur, s, out=rows[0])
+    for k in range(1, n_rows):
         b_cur = math.sqrt(k * (k + alpha))
-        prev, cur = cur, ((nodes - a_prev) * cur - b_prev * prev) / b_cur
-        prev, cur, s = _renormalize(prev, cur, s)
-        norm_sum += np.ldexp(cur, s)**2
-    return nodes, 1.0 / norm_sum
+        prev, cur = cur, ((x - (2 * (k - 1) + alpha + 1)) * cur - b_prev * prev) / b_cur
+        # One dot product is the cheapest test per step; it exceeds the bound
+        # whenever some |cur| > 2^_SCALE_BITS, and is inf or NaN if cur is.
+        if not np.dot(cur, cur) <= 2.0 ** (2 * _SCALE_BITS):
+            shift = np.where(np.abs(cur) > 2.0**_SCALE_BITS, -_SCALE_BITS, 0).astype(np.intc)
+            prev, cur, s = np.ldexp(prev, shift), np.ldexp(cur, shift), s - shift
+        np.ldexp(cur, s, out=rows[k])
+        b_prev = b_cur
+    return rows
+
+
+def _scaled_rule(alpha: float, n_nodes: int):
+    """Nodes plus weights premultiplied by e^{x}: the Christoffel weights
+    1 / sum_k p_k(x)^2 e^{-x} of the orthonormal rows of _scaled_rows.
+
+    Working in scaled space keeps every intermediate O(1); the raw weights at
+    the largest nodes of a 100+ point rule are ~1e-220 and their eigenvector
+    components underflow when squared. numpy sums a C-order array over axis 0
+    row after row, so the sum rounds as a running one would.
+    """
+    if alpha <= -1.0:
+        raise ValueError(f"weight exponent must exceed -1, got {alpha}")
+    nodes = _laguerre_nodes(alpha, n_nodes)
+    rows = _scaled_rows(alpha, n_nodes, nodes)
+    return nodes, 1.0 / np.square(rows, out=rows).sum(axis=0)
 
 
 def gauss_laguerre_rule(alpha: float, n_nodes: int) -> QuadratureRule:
@@ -103,36 +106,22 @@ def gauss_laguerre_rule(alpha: float, n_nodes: int) -> QuadratureRule:
 
     Nodes are the eigenvalues of the symmetric Jacobi matrix of the
     generalized Laguerre recurrence; the rule integrates polynomials up to
-    degree 2 n_nodes - 1 exactly.
+    degree 2 n_nodes - 1 exactly. Refuses alpha <= -1.
     """
-    if alpha <= -1.0:
-        raise ValueError(f"weight exponent must exceed -1, got {alpha}")
     if n_nodes < 1:
         raise ValueError(f"need at least one node, got {n_nodes}")
     nodes, scaled = _scaled_rule(alpha, n_nodes)
     return QuadratureRule(alpha=alpha, nodes=nodes, weights=scaled * np.exp(-nodes))
 
 
-def _scaled_laguerre_rows(n_rows: int, x: np.ndarray) -> np.ndarray:
-    # L_k(x) e^{-x/2} for k = 0..n_rows-1; the scaling commutes with the
-    # linear recurrence and avoids the ~1e100 magnitudes of the raw L_k.
-    rows = np.empty((n_rows, x.size))
-    cur, s = _half_exp(x)
-    prev = np.zeros_like(x)
-    np.ldexp(cur, s, out=rows[0])
-    for k in range(n_rows - 1):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        prev, cur, s = _renormalize(prev, cur, s)
-        np.ldexp(cur, s, out=rows[k + 1])
-    return rows
-
-
 def quadrature_moment_table(n: int, q: float) -> MomentTable:
-    """Full moment table for degrees 0..n-1 from one shared (n + 2)-node rule;
-    refuses n above MAX_TABLE_SIZE, as the series does, before allocating."""
+    """Full moment table for degrees 0..n-1 from one shared (n + 2)-node rule of weight
+    x^q e^{-x}; refuses n above MAX_TABLE_SIZE, as the series does, before allocating, and
+    q <= -1. Its L_k rows are the alpha = 0 rows of _scaled_rows with the odd ones negated."""
     _require_table_size(n)
     nodes, scaled = _scaled_rule(q, n + 2)
-    rows = _scaled_laguerre_rows(n, nodes)
+    rows = _scaled_rows(0.0, n, nodes)
+    np.negative(rows[1::2], out=rows[1::2])
     values = (rows * scaled) @ rows.T
     values = (values + values.T) / 2
     values.flags.writeable = False
@@ -213,6 +202,6 @@ def trace_sqrt_squared_mc(n: int, samples: int, rng: RngStream) -> EstimatorResu
     """Monte Carlo mean of (Tr sqrt(rho))^2 over Hilbert-Schmidt random states; each draw block
     fills one array of its values, a sampler slice at a time (estimators._values)."""
     _require_dim(n)
-    task = _values(lambda streams, b: _hs_mixed_slices(streams[0], n, b),
+    task = _values(lambda streams, b: _hs_mixed_slices(streams, n, b),
                    lambda states: np.sqrt(_require_psd(hermitian_eigvalsh(states))).sum(1) ** 2)
     return _finish(_block_stats(lambda b: task([rng], b), samples, _block_states(n * n)))

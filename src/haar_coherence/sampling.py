@@ -209,13 +209,14 @@ def _gram(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _hs_mixed_slices(rng: RngStream, n: int, count: int):
-    """The `count` matrices of hs_mixed_batch as (b, n, n) slices of max(1, ⌊2^16/n²⌋) states
-    (2^14 above _ELEMENTWISE_GRAM_MAX_DIM), each overwritten by the next. No bit depends on b."""
+def _hs_mixed_slices(streams: list, n: int, count: int):
+    """The `count` matrices of hs_mixed_batch of each stream, as (b, n, n) slices of max(1,
+    ⌊2^16/n²⌋) states (2^14 above _ELEMENTWISE_GRAM_MAX_DIM) in one buffer. No bit depends on b."""
     step = max(1, (_UNIFORM_SLICE if n <= _ELEMENTWISE_GRAM_MAX_DIM else _MATMUL_SLICE) // n**2)
     g = np.empty(min(step, count) * n * n, dtype=complex)
-    for part in rng._normals(count * n * n, step * n * n, g):
-        yield _gram(part.reshape(-1, n, n))
+    for rng in streams:
+        for part in rng._normals(count * n * n, step * n * n, g):
+            yield _gram(part.reshape(-1, n, n))
 
 
 def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
@@ -227,6 +228,6 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
     Hermitian with a real diagonal, so hermitian_part returns it unchanged bit for bit."""
     _require_dim(n)
     rho, at = np.empty((count, n, n), dtype=complex), 0
-    for block in _hs_mixed_slices(rng, n, count):
+    for block in _hs_mixed_slices([rng], n, count):
         rho[at:at + len(block)], at = block, at + len(block)
     return rho

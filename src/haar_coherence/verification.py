@@ -17,7 +17,8 @@ from . import closed_forms, estimators, oracles
 from .coherence import skew_coherence, skew_coherence_pure, skew_information
 from .estimators import _coherence_task, _single_threaded_blas, estimate_average
 from .linalg import hermitian_part, partial_trace_b, swap_operator
-from .sampling import RngStream, _splitmix64, haar_pure_batch, haar_unitary_batch, hs_mixed_batch
+from .sampling import (RngStream, _splitmix64, haar_populations_batch, haar_pure_batch,
+                       haar_unitary_batch, hs_mixed_batch)
 
 SUITES = ("oracles", "invariants", "all")
 
@@ -260,8 +261,7 @@ def check_extremes(seed):
         rng = _stream(seed, f"extremes-{n}")
         phases = np.exp(2j * np.pi * rng.uniform(1000 * n).reshape(1000, n))
         gaps.append(np.abs(skew_coherence_pure(phases / math.sqrt(n)) - (1 - 1 / n)))
-        weights = rng.exponential(1000 * n).reshape(1000, n)
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = haar_populations_batch([rng], n, 1000)
         gaps.append(np.abs(skew_coherence(weights[:, :, None] * np.eye(n))))
     return CheckResult("maximally coherent and diagonal extremes (10^3 per N)",
                        (("max deviation", _worst(*gaps), 1e-12),))

@@ -346,6 +346,20 @@ def test_mixed_task_holds_one_slice(measure):
         assert peak <= 1.5 * 2**20, n
 
 
+@pytest.mark.parametrize("measure", ["skew", "rel-ent"])
+def test_grouped_mixed_call_holds_one_sampler_buffer(measure):
+    # 4096 states at N = 2 are one call over 4 streams of 1024 states, drawn into one 64 KiB
+    # buffer: 290 KiB traced; a sampler per stream held two at the stream change (354 KiB)
+    estimate_average("mixed", 2, 4096, 7, measure=measure)  # warm-up
+    tracemalloc.start()
+    try:
+        estimate_average("mixed", 2, 4096, 7, measure=measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * 2**10
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
 def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
     # 1, 7, 1000 and 8192 states per slice, or slices longer than a draw block: the
@@ -363,7 +377,7 @@ def test_mixed_mc_bytes_do_not_depend_on_the_slice(monkeypatch, n):
     for slice_draws in [states * n * n for states in (1, 7, 1000, 8192)] + [
             2 * estimators._BLOCK_DRAWS]:
         monkeypatch.setattr(sampling, constant, slice_draws)
-        states = len(next(sampling._hs_mixed_slices(RngStream(0), n, 1001)))
+        states = len(next(sampling._hs_mixed_slices([RngStream(0)], n, 1001)))
         assert states == min(1001, slice_draws // (n * n))
         assert run() == expected
 
@@ -571,7 +585,7 @@ def _tail_task(monkeypatch, ensemble, n, epsilon):
 def test_tail_task_flags_the_measure_task_values(monkeypatch, ensemble, n, epsilon, streams,
                                                  count):
     if ensemble == "mixed":
-        assert len(next(sampling._hs_mixed_slices(RngStream(0), n, count))) == 7
+        assert len(next(sampling._hs_mixed_slices([RngStream(0)], n, count))) == 7
     tail, center = _tail_task(monkeypatch, ensemble, n, epsilon)
     assert tail.group_entries == _coherence_task(ensemble, n, "skew").group_entries
     assert center == _coherence_task(ensemble, n, "skew").mean(n)

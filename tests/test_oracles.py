@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -110,9 +111,31 @@ def plain_scaled_laguerre_rows(n_rows, x):
 
 
 def test_scaled_rows_unchanged_where_nothing_underflows():
+    # the alpha = 0 orthonormal rows are (-1)^k L_k e^{-x/2}, bit for bit
     rule = oracles.gauss_laguerre_rule(0.5, 130)
-    assert np.array_equal(oracles._scaled_laguerre_rows(128, rule.nodes),
-                          plain_scaled_laguerre_rows(128, rule.nodes))
+    rows = oracles._scaled_rows(0.0, 128, rule.nodes)
+    rows[1::2] *= -1
+    assert np.array_equal(rows, plain_scaled_laguerre_rows(128, rule.nodes))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0, 10.0])
+@pytest.mark.parametrize("m", [8, 64])
+def test_scaled_rows_orthonormal_under_their_rule(alpha, m):
+    # an (m + 2)-node rule integrates the products of degree <= 2m - 2 exactly, so the
+    # Gram matrix of the first m rows under its weight x^alpha e^{-x} is the identity
+    nodes, scaled = oracles._scaled_rule(alpha, m + 2)
+    rows = oracles._scaled_rows(alpha, m, nodes)
+    assert np.abs((rows * scaled) @ rows.T - np.eye(m)).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", [-1.0, -1.5, -3.0])
+def test_both_quadrature_routes_refuse_weight_exponent_at_or_below_minus_one(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weight exponent must exceed -1"):
+            oracles.gauss_laguerre_rule(q, 4)
+        with pytest.raises(ValueError, match="weight exponent must exceed -1"):
+            oracles.quadrature_moment_table(4, q)
 
 
 def test_quadrature_table_orthonormal_past_underflow():

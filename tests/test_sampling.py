@@ -287,7 +287,7 @@ def test_hs_mixed_slices_match_unsliced_formula(n):
     whole, sliced = RngStream(31, n), RngStream(31, n)
     g = whole.complex_normal(count * n * n).reshape(count, n, n)
     expected = _unsliced_gram(g)
-    slices = [states.copy() for states in sampling._hs_mixed_slices(sliced, n, count)]
+    slices = [states.copy() for states in sampling._hs_mixed_slices([sliced], n, count)]
     assert [len(states) for states in slices] == [per_slice, per_slice, 5]
     rho = np.concatenate(slices)
     assert np.array_equal(whole.uniform(5), sliced.uniform(5))
@@ -306,7 +306,7 @@ def test_two_block_mixed_chunk_matches_unsliced_formula():
 
     def task(streams, count):
         blocks.append(np.concatenate([states.copy() for states in
-                                      sampling._hs_mixed_slices(streams[0], n, count)]))
+                                      sampling._hs_mixed_slices(streams, n, count)]))
         return np.zeros((1, count))
 
     task.group_entries = n * n
@@ -322,10 +322,10 @@ def test_hs_mixed_slices_hold_a_few_slices():
     # 1024 states at N = 32 are 64 slices of 16 states (2^14 entries, 256 KiB): a call
     # holds one slice and its Gram temporaries (1.13 MiB measured, 3.76 with slices of
     # 2^16 entries); drawing the radii whole held 8 MiB more
-    list(sampling._hs_mixed_slices(RngStream(5, 0), 32, 2))
+    list(sampling._hs_mixed_slices([RngStream(5, 0)], 32, 2))
     tracemalloc.start()
     try:
-        for _ in sampling._hs_mixed_slices(RngStream(5, 0), 32, 1024):
+        for _ in sampling._hs_mixed_slices([RngStream(5, 0)], 32, 1024):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
