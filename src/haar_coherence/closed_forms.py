@@ -169,7 +169,8 @@ def validated_half_moment_table(n: int) -> MomentTable:
     # quadrature first, for a lower peak; it refuses an oversized table as the series does
     quadrature = oracles.quadrature_moment_table(n, 0.5)
     series = moment_table(n, 0.5)
-    gap = float(np.abs(series.values - quadrature.values).max())
+    gap = np.subtract(series.values, quadrature.values)  # one n x n temporary
+    gap = float(np.abs(gap, out=gap).max())
     if not gap <= MOMENT_GATE:  # NaN fails too
         raise PrecisionError(
             f"moment table routes disagree by {gap:.3e} (gate {MOMENT_GATE:.0e}) at n={n}")

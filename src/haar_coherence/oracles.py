@@ -16,10 +16,10 @@ from .closed_forms import MomentTable, _require_table_size
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _block_stats, _finish,
                          _single_threaded_blas, _values)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
-from .sampling import _UNIFORM_SLICE, RngStream, _hs_mixed_slices, haar_unitary_batch
+from .sampling import _UNIFORM_SLICE, RngStream, _hs_mixed_slices, _orthonormalize
 
-# Unitaries per haar_unitary_batch call of the twirl MC. Block boundaries fix
-# where each draw splits the stream, so a different size moves the result.
+# Unitaries per normals draw of the twirl MC. Block boundaries fix where
+# each draw splits the stream, so a different size moves the result.
 _TWIRL_BLOCK = 4096
 
 # Above this dimension the heavy-tailed Vandermonde integrand makes the plain
@@ -176,10 +176,10 @@ def twofold_twirl(a, n: int) -> np.ndarray:
 def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
     """Brute-force Haar average of (U x U) A (U x U)† over sampled unitaries.
 
-    One haar_unitary_batch call per block of _TWIRL_BLOCK unitaries fixes the RNG order. A block
-    is folded in slices of max(1, _UNIFORM_SLICE // d^2) unitaries, d = n^2, in three buffers of
-    <= 2^16 entries for W = U x U, X and conj(W), laid out as W[r, c, b] (b the sample):
-    X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†."""
+    One normals draw per block of _TWIRL_BLOCK unitaries fixes the RNG order. A block is drawn,
+    orthonormalized and folded in slices of max(1, _UNIFORM_SLICE // d^2) unitaries, d = n^2, in
+    three buffers of <= 2^16 entries for W = U x U, X (first the slice's normals) and conj(W),
+    as W[r, c, b]: X[:, :, b] = W_b A, then [X_1 ... X_b] [W_1†; ...; W_b†] = sum_b W_b A W_b†."""
     a = np.asarray(a, dtype=complex)
     d = n * n
     if a.shape != (d, d):
@@ -189,8 +189,8 @@ def twofold_twirl_mc(a, n: int, samples: int, rng: RngStream) -> np.ndarray:
     step, total = max(1, _UNIFORM_SLICE // (d * d)), np.zeros((d, d), dtype=complex)
     buffers = np.empty((3, d * d * min(step, samples)), dtype=complex)  # reused: no re-faults
     for b in _block_sizes(samples, _TWIRL_BLOCK):
-        for part in np.split(haar_unitary_batch(rng, n, b), range(step, b, step)):
-            ut = np.ascontiguousarray(part.transpose(1, 2, 0))
+        for g in rng._normals(b * d, step * d, buffers[1]):
+            ut = np.ascontiguousarray(_orthonormalize(g.reshape(-1, n, n)).transpose(1, 2, 0))
             w, x, w_conj = (buf[:d * d * ut.shape[2]].reshape(d, d, -1) for buf in buffers)
             np.multiply(ut[:, None, :, None], ut[None, :, None, :], out=w.reshape(n, n, n, n, -1))
             np.matmul(a.T, w, out=x)

@@ -15,11 +15,11 @@ from .linalg import _require_dim
 
 _MASK64 = (1 << 64) - 1
 
-# Up to this order haar_unitary_batch orthonormalizes by Gram-Schmidt instead
-# of LAPACK QR, which there costs mostly per-matrix call overhead. On 4096
-# matrices (2-core x86-64, OpenBLAS 0.3.31) the step took 0.76 vs 4.8 ms at
-# n = 2 and 2.7 vs 8.1 ms at n = 3, but 32 vs 24 ms at n = 8 and 2.3 vs 0.28 s
-# at n = 32. The twirl oracle, the hot caller, runs at n = 2 and 3.
+# Up to this order _orthonormalize runs Gram-Schmidt instead of LAPACK QR, which
+# there costs mostly per-matrix call overhead. On 4096 matrices (2-core x86-64,
+# OpenBLAS 0.3.31) the step took 0.76 vs 4.8 ms at n = 2 and 2.7 vs 8.1 ms at
+# n = 3, but 32 vs 24 ms at n = 8 and 2.3 vs 0.28 s at n = 32. The twirl oracle,
+# the hot caller, runs at n = 2 and 3.
 _GRAM_SCHMIDT_MAX_DIM = 3
 
 # Up to this order hs_mixed_batch forms G G† entry by entry, not by a batched matmul: on
@@ -94,7 +94,7 @@ class RngStream:
         self._skip(n)
         buffer = np.empty(min(step, n))  # the slice's phase uniforms, then its radii
         for start in range(0, n, step):
-            part = out[start:start + step] if out.size >= n else out[:min(step, n - start)]
+            part = (out[start:start + step] if out.size >= n else out)[:min(step, n - start)]
             part.real = 0.0
             np.multiply(self.uniform(part.size, buffer[:part.size]), 2 * np.pi, out=part.imag)
             np.exp(part, out=part)
@@ -147,10 +147,15 @@ def haar_populations_batch(streams: list, n: int, count: int, out=None) -> np.nd
     return np.divide(e, _column_sum(e)[:, None], out=e)
 
 
-def _gram_schmidt(g: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization with positive real R diagonal, column by
-    column with classical Gram-Schmidt run twice (CGS2), which keeps Q
-    orthonormal to round-off. Plain einsum and norm, no BLAS call."""
+def _orthonormalize(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (b, n, n) stack of complex Gaussian matrices, each its own bits: Q
+    of the QR factorization with a positive real R diagonal (Mezzadri 2007). Up to
+    _GRAM_SCHMIDT_MAX_DIM by classical Gram-Schmidt run twice (CGS2), plain einsum and norm;
+    above, LAPACK's Q, not Haar alone, with each column divided by its R diagonal's phase."""
+    if g.shape[-1] > _GRAM_SCHMIDT_MAX_DIM:
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        return q * (d.conj() / np.abs(d))[:, None, :]
     q = np.empty_like(g)
     for j in range(g.shape[-1]):
         v = g[:, :, j]
@@ -162,20 +167,9 @@ def _gram_schmidt(g: np.ndarray) -> np.ndarray:
 
 
 def haar_unitary_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
-    """(count, n, n) array of Haar-random unitaries.
-
-    Q of the QR factorization of a Gaussian matrix whose R has a positive real
-    diagonal (Mezzadri 2007); plain LAPACK QR alone is not Haar distributed,
-    so above _GRAM_SCHMIDT_MAX_DIM each column of its Q is divided by the phase
-    of the corresponding R diagonal entry.
-    """
+    """(count, n, n) array of Haar-random unitaries, _orthonormalize of Gaussian matrices."""
     _require_dim(n)
-    g = rng.complex_normal(count * n * n).reshape(count, n, n)
-    if n <= _GRAM_SCHMIDT_MAX_DIM:
-        return _gram_schmidt(g)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d.conj() / np.abs(d))[:, None, :]
+    return _orthonormalize(rng.complex_normal(count * n * n).reshape(count, n, n))
 
 
 def _column_sum(x: np.ndarray) -> np.ndarray:
@@ -209,11 +203,12 @@ def _gram(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _hs_mixed_slices(streams: list, n: int, count: int):
+def _hs_mixed_slices(streams: list, n: int, count: int, out=None):
     """The `count` matrices of hs_mixed_batch of each stream, as (b, n, n) slices of max(1,
-    ⌊2^16/n²⌋) states (2^14 above _ELEMENTWISE_GRAM_MAX_DIM) in one buffer. No bit depends on b."""
+    ⌊2^16/n²⌋) states (2^14 above _ELEMENTWISE_GRAM_MAX_DIM) in one buffer, or in place in the
+    (count, n, n) `out` of one stream. No bit depends on b."""
     step = max(1, (_UNIFORM_SLICE if n <= _ELEMENTWISE_GRAM_MAX_DIM else _MATMUL_SLICE) // n**2)
-    g = np.empty(min(step, count) * n * n, dtype=complex)
+    g = np.empty(min(step, count) * n * n, dtype=complex) if out is None else out.reshape(-1)
     for rng in streams:
         for part in rng._normals(count * n * n, step * n * n, g):
             yield _gram(part.reshape(-1, n, n))
@@ -224,10 +219,10 @@ def hs_mixed_batch(rng: RngStream, n: int, count: int) -> np.ndarray:
 
     Gram construction G G† / Tr(G G†) with G an n x n complex Gaussian matrix, which is distributed
     exactly as the partial trace of a Haar bipartite pure state on an n*n product space (Życzkowski
-    & Sommers 2001), formed slice by slice: 16 B per entry plus one slice. Each matrix is exactly
-    Hermitian with a real diagonal, so hermitian_part returns it unchanged bit for bit."""
+    & Sommers 2001), formed in place slice by slice: 16 B per entry plus one slice's temporaries.
+    Each matrix is exactly Hermitian with a real diagonal: hermitian_part keeps all its bits."""
     _require_dim(n)
-    rho, at = np.empty((count, n, n), dtype=complex), 0
-    for block in _hs_mixed_slices([rng], n, count):
-        rho[at:at + len(block)], at = block, at + len(block)
+    rho = np.empty((count, n, n), dtype=complex)
+    for _ in _hs_mixed_slices([rng], n, count, rho):
+        pass
     return rho

@@ -268,14 +268,14 @@ def check_extremes(seed):
 
 
 def check_haar_invariance(seed):
-    z = []
+    z, samples = [], 10**4
     for n in (2, 4):
         rotation = haar_unitary_batch(_stream(seed, f"haarinv-rot-{n}"), n, 1)[0]
-        plain = haar_pure_batch(_stream(seed, f"haarinv-a-{n}"), n, 10**4)
-        rotated = haar_pure_batch(_stream(seed, f"haarinv-b-{n}"), n, 10**4) @ rotation.T
+        plain = haar_pure_batch(_stream(seed, f"haarinv-a-{n}"), n, samples)
+        rotated = haar_pure_batch(_stream(seed, f"haarinv-b-{n}"), n, samples) @ rotation.T
         values_plain, values_rot = skew_coherence_pure(plain), skew_coherence_pure(rotated)
-        gap = abs(values_plain.mean() - values_rot.mean())
-        z.append(gap / (math.hypot(values_plain.std(ddof=1), values_rot.std(ddof=1)) / 100.0))
+        spread = math.hypot(values_plain.std(ddof=1), values_rot.std(ddof=1))
+        z.append(abs(values_plain.mean() - values_rot.mean()) / (spread / math.sqrt(samples)))
     return CheckResult("Haar invariance of the coherence distribution (10^4, N=2,4)",
                        (("worst z of the mean gap", _worst(*z), 4),))
 

@@ -286,6 +286,25 @@ def test_twirl_mc_fold_slices_match_einsum_reference(n):
     assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_twirl_mc_has_the_bits_of_whole_block_unitaries(n):
+    # each block's unitaries orthonormalized slice by slice from their normals have the bits
+    # of the block drawn whole by haar_unitary_batch and split after, through the same fold;
+    # N = 4 takes the LAPACK route. At N = 2 the last block (1696) is shorter than a slice
+    d = n * n
+    step, total = max(1, sampling._UNIFORM_SLICE // (d * d)), np.zeros((d, d), dtype=complex)
+    samples = 2 * oracles._TWIRL_BLOCK + 1696
+    a = RngStream(241, n).complex_normal(d * d).reshape(d, d)
+    rng, ref_rng = RngStream(271, n), RngStream(271, n)
+    for b in estimators._block_sizes(samples, oracles._TWIRL_BLOCK):
+        for u in np.split(haar_unitary_batch(ref_rng, n, b), range(step, b, step)):
+            ut = np.ascontiguousarray(u.transpose(1, 2, 0))
+            w = (ut[:, None, :, None] * ut[None, :, None, :]).reshape(d, d, -1)
+            total += np.matmul(a.T, w).reshape(d, -1) @ np.conjugate(w).reshape(d, -1).T
+    assert np.array_equal(oracles.twofold_twirl_mc(a, n, samples, rng), total / samples)
+    assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+
+
 def test_twirl_mc_holds_one_fold_slice():
     # one block of 4096 unitaries at N = 3 folded in slices of 809 through three 1 MB
     # buffers (4.8 MiB measured); the whole block's W, X and conj(W), 5.3 MB each,

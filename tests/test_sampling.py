@@ -114,6 +114,27 @@ def test_complex_normals_are_the_radii_then_the_phases(offset, n):
     assert np.array_equal(stream.uniform(5), twin.uniform(5))
 
 
+@pytest.mark.parametrize("size", ["one slice", "exact", "three slices", "oversize"])
+def test_normals_fill_any_buffer_with_complex_normals(size):
+    # n draws in three slices, the last short, into a buffer of one slice (each slice at its
+    # start), of exactly n, of three whole slices or of 10 n (each slice at its place in the
+    # first n entries): complex_normal's normals, and the stream left where it leaves it
+    step = 1000
+    n = 2 * step + 5
+    out = np.empty({"one slice": step, "exact": n, "three slices": 3 * step,
+                    "oversize": 10 * n}[size], dtype=complex)
+    stream, twin = RngStream(43, 1), RngStream(43, 1)
+    stream.uniform(1)
+    twin.uniform(1)
+    parts = [part.copy() for part in stream._normals(n, step, out)]
+    expected = twin.complex_normal(n)
+    assert [len(part) for part in parts] == [step, step, 5]
+    assert np.array_equal(np.concatenate(parts), expected)
+    if out.size >= n:
+        assert np.array_equal(out[:n], expected)
+    assert np.array_equal(stream.uniform(5), twin.uniform(5))
+
+
 def test_uniform_range():
     u = RngStream(9, 4).uniform(10**5)
     assert u.min() >= 0.0 and u.max() < 1.0
@@ -188,6 +209,16 @@ def test_unitaries_above_gram_schmidt_cutoff_use_lapack():
     u = haar_unitary_batch(RngStream(73, 0), 4, 50)
     g = RngStream(73, 0).complex_normal(50 * 16).reshape(50, 4, 4)
     assert np.array_equal(u, _lapack_haar_unitaries(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_orthonormalize_gives_each_matrix_its_own_bits(n):
+    # on both routes (Gram-Schmidt up to _GRAM_SCHMIDT_MAX_DIM, LAPACK QR above) a stack's
+    # unitaries are bit for bit those of its uneven sub-stacks, as the twirl oracle's slices are
+    g = RngStream(83, n).complex_normal(1000 * n * n).reshape(1000, n, n)
+    cuts = [0, 1, 8, 9, 400, 997, 1000]
+    parts = [sampling._orthonormalize(g[start:stop]) for start, stop in zip(cuts, cuts[1:])]
+    assert np.array_equal(sampling._orthonormalize(g), np.concatenate(parts))
 
 
 def test_haar_unitary_first_column_matches_pure_sampler():
@@ -275,23 +306,25 @@ def _unsliced_gram(g):
     return w / np.einsum("bii->b", w).real[:, None, None]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
 def test_hs_mixed_slices_match_unsliced_formula(n):
     # two full slices and a short last one, against the whole block's normals drawn at
     # once and its Gram step run on all of them: the same bytes, and the stream left at
-    # the same place. Up to N = 3 the Gram step is elementwise, within round-off of the
-    # matmul formula; at every N exactly Hermitian with an exactly real diagonal. A slice
-    # holds max(1, 2^16 // N^2) states up to N = 3 and max(1, 2^14 // N^2) above
-    per_slice = {1: 2**16, 2: 2**14, 3: 7281, 4: 2**10, 8: 2**8, 32: 16}[n]
+    # the same place; hs_mixed_batch, which forms them in place in its result, too. Up to
+    # N = 3 the Gram step is elementwise, within round-off of the matmul formula; at every
+    # N exactly Hermitian with an exactly real diagonal. A slice holds max(1, 2^16 // N^2)
+    # states up to N = 3 and max(1, 2^14 // N^2) above
+    per_slice = {1: 2**16, 2: 2**14, 3: 7281, 4: 2**10, 8: 2**8, 16: 64, 32: 16}[n]
     count = 2 * per_slice + 5
-    whole, sliced = RngStream(31, n), RngStream(31, n)
+    whole, sliced, batched = RngStream(31, n), RngStream(31, n), RngStream(31, n)
     g = whole.complex_normal(count * n * n).reshape(count, n, n)
     expected = _unsliced_gram(g)
     slices = [states.copy() for states in sampling._hs_mixed_slices([sliced], n, count)]
     assert [len(states) for states in slices] == [per_slice, per_slice, 5]
     rho = np.concatenate(slices)
-    assert np.array_equal(whole.uniform(5), sliced.uniform(5))
-    assert np.array_equal(rho, hs_mixed_batch(RngStream(31, n), n, count))
+    assert np.array_equal(rho, hs_mixed_batch(batched, n, count))
+    after = whole.uniform(5)
+    assert np.array_equal(after, sliced.uniform(5)) and np.array_equal(after, batched.uniform(5))
     assert np.array_equal(rho, sampling._gram(g))
     assert np.abs(rho - expected).max() <= (0 if n > sampling._ELEMENTWISE_GRAM_MAX_DIM else 1e-15)
     assert np.array_equal(rho, np.conj(np.swapaxes(rho, 1, 2)))
@@ -331,3 +364,4 @@ def test_hs_mixed_slices_hold_a_few_slices():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 16 * sampling._MATMUL_SLICE
+
