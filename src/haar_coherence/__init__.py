@@ -16,16 +16,15 @@ from .coherence import (relative_entropy_coherence, skew_coherence, skew_coheren
 from .estimators import (EstimatorResult, SweepRow, TailEstimate, estimate_average, estimate_tail,
                          figure1_sweep, run_chunked)
 from .linalg import hermitian_part, partial_trace_b, sqrt_psd, swap_operator
-from .oracles import (QuadratureRule, gauss_laguerre_rule, quadrature_moment_table,
-                      trace_sqrt_squared_mc, twofold_twirl, twofold_twirl_mc,
-                      vandermonde_sqrt_integral_mc)
+from .oracles import (gauss_laguerre_rule, quadrature_moment_table, trace_sqrt_squared_mc,
+                      twofold_twirl, twofold_twirl_mc, vandermonde_sqrt_integral_mc)
 from .sampling import RngStream, haar_pure_batch, haar_unitary_batch, hs_mixed_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EstimatorResult", "MomentTable", "PrecisionError", "QuadratureRule", "RngStream", "SweepRow",
-    "TailEstimate", "avg_coherence_mixed", "avg_coherence_pure", "avg_cr_mixed", "avg_cr_pure",
+    "EstimatorResult", "MomentTable", "PrecisionError", "RngStream", "SweepRow", "TailEstimate",
+    "avg_coherence_mixed", "avg_coherence_pure", "avg_cr_mixed", "avg_cr_pure",
     "coherent_subspace_dim", "estimate_average", "estimate_tail", "figure1_sweep",
     "gauss_laguerre_rule", "haar_pure_batch", "haar_unitary_batch", "hermitian_part",
     "hs_mixed_batch", "levy_bound", "lipschitz_constant_mixed", "lipschitz_constant_pure",

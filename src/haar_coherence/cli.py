@@ -73,7 +73,7 @@ def _cmd_mc(args):
 def _cmd_tail(args):
     tail = estimators.estimate_tail(args.ensemble, args.dim, args.epsilon, args.samples,
                                     args.seed, args.chunk, args.threads)
-    record = {"ensemble": args.ensemble, "N": args.dim, "epsilon": tail.epsilon,
+    record = {"ensemble": args.ensemble, "N": args.dim, "epsilon": args.epsilon,
               "frequency": tail.frequency, "bound": tail.bound,
               "samples": tail.n_samples, "seed": args.seed}
     _print_record(record, args.format)
@@ -88,7 +88,7 @@ def _cmd_figure1(args):
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write("N,analytic,mc_mean,mc_stderr,n_samples,seed\n")
             handle.writelines(f"{row.n},{row.analytic!r},{row.mc_mean!r},{row.mc_stderr!r},"
-                              f"{row.n_samples},{row.seed}\n" for row in rows)
+                              f"{args.samples},{args.seed}\n" for row in rows)
         if (path := args.svg) is not None:
             svg.write_sweep_svg(path, rows)
     except OSError as exc:

@@ -44,7 +44,6 @@ class PrecisionError(RuntimeError):
 class MomentTable:
     """Symmetric table of weighted Laguerre moments."""
 
-    q: float
     values: np.ndarray  # (n, n), values[k, l] = I_kl(q)
 
 
@@ -59,12 +58,7 @@ def _gen_binomial_array(q: float, m: int) -> np.ndarray:
 def _gamma_ratios(q: float, m: int) -> np.ndarray:
     # Gamma(q + r + 1) / r! for r = 0..m-1, in log space: the ratio overflows
     # a double near degree 170 otherwise. libm's exp and lgamma pin the bits.
-    try:
-        return np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
-                         for r in range(m)])
-    except OverflowError:
-        raise ValueError(f"weight exponent q = {q} is too large: "
-                         "Gamma(q + r + 1)/r! overflows a double") from None
+    return np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0)) for r in range(m)])
 
 
 def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
@@ -117,6 +111,7 @@ def _require_table_size(n: int) -> None:
         raise ValueError(f"table size {n} exceeds the supported maximum {MAX_TABLE_SIZE}")
 
 
+@np.errstate(over="raise")
 def moment_table(n: int, q: float) -> MomentTable:
     """Symmetric n x n moment table for degrees 0..n-1, from the series.
 
@@ -132,29 +127,33 @@ def moment_table(n: int, q: float) -> MomentTable:
     _require_table_size(n)
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
-    g, b = _gamma_ratios(q, n), _gen_binomial_array(q, n - 1)
-    # window[x, r] = b[x - r] for r <= x: a strided view of b behind n - 1 zeros
-    window = np.ndarray((n, n), buffer=np.concatenate([np.zeros(n - 1), b]),
-                        offset=8 * (n - 1), strides=(8, -8))
-    values, k = np.empty((n, n)), 0
-    while k < n:
-        stop, entries = k + 1, n - k
-        while stop < n and (stop + 1) * (entries + n - stop) <= _SUM_BLOCK:
-            stop, entries = stop + 1, entries + n - stop
-        terms, at = np.full((stop, entries), -0.0), 0  # a column per entry (j, l), l = j..n-1
-        for j in range(k, stop):
-            pairs = window[j:, :j + 1].T  # pairs[r, l - j] = b[l - r]; column 0 holds b[j - r]
-            np.multiply(pairs[:, :1], pairs, out=terms[:j + 1, at:at + n - j])
-            at += n - j
-        terms *= g[:stop, None]
-        sums = _exact_column_sums(terms)
-        for j in range(k, stop):
-            row, sums = sums[:n - j], sums[n - j:]
-            np.negative(row[1::2], out=row[1::2])
-            values[j, j:] = values[j:, j] = row
-        k = stop
+    try:  # Gamma(q + r + 1)/r!, a term or an entry's exact sum overflowing a double
+        g, b = _gamma_ratios(q, n), _gen_binomial_array(q, n - 1)
+        # window[x, r] = b[x - r] for r <= x: a strided view of b behind n - 1 zeros
+        window = np.ndarray((n, n), buffer=np.concatenate([np.zeros(n - 1), b]),
+                            offset=8 * (n - 1), strides=(8, -8))
+        values, k = np.empty((n, n)), 0
+        while k < n:
+            stop, entries = k + 1, n - k
+            while stop < n and (stop + 1) * (entries + n - stop) <= _SUM_BLOCK:
+                stop, entries = stop + 1, entries + n - stop
+            terms, at = np.full((stop, entries), -0.0), 0  # a column per entry (j, l), l = j..n-1
+            for j in range(k, stop):
+                pairs = window[j:, :j + 1].T  # pairs[r, l - j] = b[l - r]; column 0: b[j - r]
+                np.multiply(pairs[:, :1], pairs, out=terms[:j + 1, at:at + n - j])
+                at += n - j
+            terms *= g[:stop, None]
+            sums = _exact_column_sums(terms)
+            for j in range(k, stop):
+                row, sums = sums[:n - j], sums[n - j:]
+                np.negative(row[1::2], out=row[1::2])
+                values[j, j:] = values[j:, j] = row
+            k = stop
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"weight exponent q = {q} is too large for degree {n - 1}: "
+                         "the series overflows a double") from None
     values.flags.writeable = False
-    return MomentTable(q=q, values=values)
+    return MomentTable(values=values)
 
 
 @lru_cache(maxsize=None)

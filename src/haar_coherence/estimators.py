@@ -56,7 +56,6 @@ class EstimatorResult:
 class TailEstimate:
     frequency: float
     bound: float
-    epsilon: float
     n_samples: int
     center: float
 
@@ -67,8 +66,6 @@ class SweepRow:
     analytic: float
     mc_mean: float
     mc_stderr: float
-    n_samples: int
-    seed: int
 
 
 def stats_of(values: np.ndarray) -> list:
@@ -318,8 +315,8 @@ def estimate_tail(ensemble: str, n: int, epsilon: float, samples: int, seed: int
     _schedule(samples, chunk_size, task.group_entries, threads)  # refuse before the center
     center, bound = task.mean(n), task.bound(n, epsilon)
     result = run_chunked(task, samples, chunk_size, seed, threads)
-    return TailEstimate(frequency=result.mean, bound=bound, epsilon=epsilon,
-                        n_samples=result.n_samples, center=center)
+    return TailEstimate(frequency=result.mean, bound=bound, n_samples=result.n_samples,
+                        center=center)
 
 
 def figure1_sweep(max_exp: int, samples: int, seed: int,
@@ -340,6 +337,5 @@ def figure1_sweep(max_exp: int, samples: int, seed: int,
         n = 2**m
         analytic = closed_forms.avg_coherence_mixed(n)
         est = estimate_average("mixed", n, samples, seed, "skew", chunk_size, threads)
-        rows.append(SweepRow(n=n, analytic=analytic, mc_mean=est.mean,
-                             mc_stderr=est.stderr, n_samples=samples, seed=seed))
+        rows.append(SweepRow(n=n, analytic=analytic, mc_mean=est.mean, mc_stderr=est.stderr))
     return rows

@@ -93,23 +93,21 @@ def _eigvalsh_3(m):
 def hermitian_eigvalsh(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian (..., n, n) stack.
 
-    Orders n <= 3 are solved in closed form from the real diagonal and the
+    Orders 2 and 3 are solved in closed form from the real diagonal and the
     lower triangle (the triangle np.linalg.eigvalsh reads): n = 2 as
     mean -/+ hypot, n = 3 by Smith's trigonometric formula for the isolated
     eigenvalue and a rank-2 deflation for the other two, which keeps
     near-degenerate pairs accurate to round-off. On stacks of such tiny
     matrices LAPACK's per-matrix call overhead, not arithmetic, is the cost.
-    Larger orders go to np.linalg.eigvalsh. Up to n = 3 a NaN entry gives
-    NaN eigenvalues; LAPACK returns finite ones for some NaN matrices.
+    Other orders go to np.linalg.eigvalsh. Up to n = 3 a NaN entry gives NaN
+    eigenvalues; LAPACK returns finite ones for some larger NaN matrices.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[-1]
-    if n > 3:
+    if n not in (2, 3):
         return np.linalg.eigvalsh(m)
-    if n == 1:
-        return m[..., 0].real.astype(float)
     kernel = _eigvalsh_2 if n == 2 else _eigvalsh_3
     return kernel(m.reshape(-1, n, n)).reshape(m.shape[:-1])
 

@@ -8,13 +8,12 @@ route never touches the series code in :mod:`haar_coherence.closed_forms`.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import MomentTable, _require_table_size
 from .estimators import (EstimatorResult, _block_sizes, _block_states, _block_stats, _finish,
-                         _single_threaded_blas, _values)
+                         _values)
 from .linalg import _require_dim, _require_psd, hermitian_eigvalsh, swap_operator
 from .sampling import _UNIFORM_SLICE, RngStream, _hs_mixed_slices, _orthonormalize
 
@@ -27,13 +26,6 @@ _TWIRL_BLOCK = 4096
 _VANDERMONDE_MAX_DIM = 4
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    alpha: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 # _scaled_rows carries each node's value as m 2^s. Shifting m by exact powers
 # of two changes no bit wherever nothing under- or overflows, and keeps |m|
 # near or below 2^_SCALE_BITS however small e^{-x/2} gets.
@@ -43,12 +35,11 @@ _SCALE_BITS = 500
 def _laguerre_nodes(alpha: float, n_nodes: int) -> np.ndarray:
     """Eigenvalues of the generalized Laguerre Jacobi matrix. LAPACK's dsyevd
     reduces this already tridiagonal matrix by zero reflectors, so its dsterf gets
-    the diagonals scipy.linalg.eigh_tridiagonal passes: the same nodes, bit for bit.
-    OpenBLAS runs it on one thread, where this small solve is several times faster."""
+    the diagonals scipy.linalg.eigh_tridiagonal passes: the same nodes, bit for bit, at
+    any OpenBLAS thread count."""
     i = np.arange(n_nodes, dtype=float)
-    with _single_threaded_blas():
-        return np.linalg.eigvalsh(np.diag(2 * i + alpha + 1)
-                                  + np.diag(np.sqrt(i[1:] * (i[1:] + alpha)), -1))
+    return np.linalg.eigvalsh(np.diag(2 * i + alpha + 1)
+                              + np.diag(np.sqrt(i[1:] * (i[1:] + alpha)), -1))
 
 
 def _scaled_rows(alpha: float, n_rows: int, x: np.ndarray) -> np.ndarray:
@@ -98,20 +89,28 @@ def _scaled_rule(alpha: float, n_nodes: int):
         raise ValueError(f"weight exponent must exceed -1, got {alpha}")
     nodes = _laguerre_nodes(alpha, n_nodes)
     rows = _scaled_rows(alpha, n_nodes, nodes)
-    return nodes, 1.0 / np.square(rows, out=rows).sum(axis=0)
+    sums = np.square(rows, out=rows).sum(axis=0)
+    # |L_k(x) e^{-x/2}| <= 1, so a moment table's entries, and their doubles, stay finite
+    # while no scaled weight exceeds 1/(2 n_nodes) of the largest double; NaN fails too.
+    if not sums.min() >= 2 * n_nodes / np.finfo(float).max:
+        raise ValueError(f"weight exponent {alpha} is too large for {n_nodes} nodes: "
+                         "the weights times e^x overflow a double")
+    return nodes, 1.0 / sums
 
 
-def gauss_laguerre_rule(alpha: float, n_nodes: int) -> QuadratureRule:
-    """Golub-Welsch generalized Gauss-Laguerre rule for weight x^alpha e^{-x}.
+def gauss_laguerre_rule(alpha: float, n_nodes: int):
+    """(nodes, weights) of the Golub-Welsch generalized Gauss-Laguerre rule for weight
+    x^alpha e^{-x}, as numpy's laggauss returns them at alpha = 0.
 
     Nodes are the eigenvalues of the symmetric Jacobi matrix of the
     generalized Laguerre recurrence; the rule integrates polynomials up to
-    degree 2 n_nodes - 1 exactly. Refuses alpha <= -1.
+    degree 2 n_nodes - 1 exactly. Refuses alpha <= -1, and an alpha so
+    large that the weights times e^x overflow a double.
     """
     if n_nodes < 1:
         raise ValueError(f"need at least one node, got {n_nodes}")
     nodes, scaled = _scaled_rule(alpha, n_nodes)
-    return QuadratureRule(alpha=alpha, nodes=nodes, weights=scaled * np.exp(-nodes))
+    return nodes, scaled * np.exp(-nodes)
 
 
 def quadrature_moment_table(n: int, q: float) -> MomentTable:
@@ -125,7 +124,7 @@ def quadrature_moment_table(n: int, q: float) -> MomentTable:
     values = (rows * scaled) @ rows.T
     values = (values + values.T) / 2
     values.flags.writeable = False
-    return MomentTable(q=q, values=values)
+    return MomentTable(values=values)
 
 
 def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> EstimatorResult:
@@ -142,10 +141,10 @@ def vandermonde_sqrt_integral_mc(n: int, samples: int, rng: RngStream) -> Estima
         raise ValueError(
             f"Monte Carlo route is limited to dimension <= {_VANDERMONDE_MAX_DIM}, got {n}")
 
-    def values(b):  # elementwise, so slices of _UNIFORM_SLICE states keep the block's bits
-        f = np.empty(b)
-        for start in range(0, b, _UNIFORM_SLICE):
-            mu = rng.exponential(min(_UNIFORM_SLICE, b - start) * n).reshape(-1, n)
+    def values(b):  # elementwise, so slices of _UNIFORM_SLICE draws keep the block's bits
+        f, step = np.empty(b), _UNIFORM_SLICE // n
+        for start in range(0, b, step):
+            mu = rng.exponential(min(step, b - start) * n).reshape(-1, n)
             part = np.sqrt(mu[:, 0] * mu[:, 1], out=f[start:start + len(mu)])
             for i, j in zip(*np.triu_indices(n, 1)):  # row by row, as nested loops
                 part *= (mu[:, i] - mu[:, j]) ** 2

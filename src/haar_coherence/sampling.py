@@ -29,7 +29,7 @@ _ELEMENTWISE_GRAM_MAX_DIM = 3
 # Draws per hs_mixed_batch slice above it, on that host: a 1024-state chunk at N = 8-46 traced
 # 3.6-3.8 MiB at 2^16, 1.15 at 2^14; figure1 to N = 32 on 2 threads peaked at 47.2 vs 41.8 MB.
 _MATMUL_SLICE = 1 << 14
-_UNIFORM_SLICE = 65536  # draws per normal slice; states per Vandermonde oracle slice
+_UNIFORM_SLICE = 65536  # draws per normal or Vandermonde oracle slice
 
 
 def _splitmix64(z: int) -> int:

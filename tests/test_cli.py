@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -34,8 +35,13 @@ def test_public_names():
     assert len(set(names)) == len(names)
     assert all(hasattr(haar_coherence, name) for name in names)
     removed = {"Eigensystem", "eig_hermitian", "sample_haar_pure", "sample_hs_mixed",
-               "sample_haar_unitary"}
+               "sample_haar_unitary", "QuadratureRule"}
     assert removed.isdisjoint(names)
+    # no result type echoes its inputs
+    assert [[f.name for f in dataclasses.fields(t)] for t in (
+        haar_coherence.MomentTable, haar_coherence.TailEstimate, haar_coherence.SweepRow)] == [
+        ["values"], ["frequency", "bound", "n_samples", "center"],
+        ["n", "analytic", "mc_mean", "mc_stderr"]]
 
 
 def fresh_env():

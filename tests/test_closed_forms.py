@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,10 +131,14 @@ def test_exact_column_sums_agree_with_fsum_on_random_columns():
 
 
 def test_moment_table_refuses_a_weight_exponent_it_cannot_represent():
-    # Gamma(q + r + 1)/r! overflows a double once q + r reaches ≈ 171; q <= -1 has no moments
-    for q in (300.0, 1e308, -1.0):
-        with pytest.raises(ValueError, match="weight exponent"):
-            cf.moment_table(5, q)
+    # Gamma(q + r + 1)/r! overflows a double once q + r reaches ≈ 171, a term or an entry's
+    # exact sum at lower q and high degrees, with no warning first; q <= -1 has no moments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, q in ((5, 300.0), (5, 1e308), (5, -1.0), (400, 100.0), (513, 100.0),
+                     (100, 134.0)):
+            with pytest.raises(ValueError, match="weight exponent"):
+                cf.moment_table(n, q)
     assert np.isfinite(cf.moment_table(5, 160.0).values).all()
 
 

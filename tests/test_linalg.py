@@ -273,6 +273,9 @@ def test_closed_form_eigvalsh_shapes():
     assert np.allclose(hermitian_eigvalsh(np.diag([0.3, 0.7]).astype(complex)), [0.3, 0.7],
                        rtol=0, atol=1e-16)
     assert hermitian_eigvalsh(np.full((2, 5, 1, 1), 2.0 + 0j)).shape == (2, 5, 1)
+    # 1 x 1 stacks go to LAPACK, which returns the real diagonal bit for bit
+    m = RngStream(407, 1).complex_normal(10**4).reshape(2, -1, 1, 1)
+    assert np.array_equal(hermitian_eigvalsh(m), m[..., 0].real)
     rho = hs_mixed_batch(RngStream(408, 3), 3, 40000).reshape(2, 20000, 3, 3)
     assert np.array_equal(hermitian_eigvalsh(rho),
                           hermitian_eigvalsh(rho.reshape(-1, 3, 3)).reshape(2, 20000, 3))

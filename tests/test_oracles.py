@@ -9,51 +9,50 @@ from scipy.special import roots_genlaguerre
 
 from haar_coherence import closed_forms as cf
 from haar_coherence import estimators, oracles, sampling
-from haar_coherence.estimators import (_finish, _single_threaded_blas, merge_stats,
-                                       stats_of)
+from haar_coherence.estimators import _finish, merge_stats, stats_of
 from haar_coherence.linalg import hermitian_eigvalsh
 from haar_coherence.linalg import hermitian_part, swap_operator
 from haar_coherence.sampling import RngStream, haar_unitary_batch, hs_mixed_batch
 
 
 def test_rule_single_node_alpha_zero():
-    rule = oracles.gauss_laguerre_rule(0.0, 1)
-    assert rule.nodes[0] == pytest.approx(1.0, abs=1e-14)
-    assert rule.weights[0] == pytest.approx(1.0, abs=1e-14)
+    nodes, weights = oracles.gauss_laguerre_rule(0.0, 1)
+    assert nodes[0] == pytest.approx(1.0, abs=1e-14)
+    assert weights[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rule_gamma_moments_alpha_half():
-    rule = oracles.gauss_laguerre_rule(0.5, 6)
+    nodes, weights = oracles.gauss_laguerre_rule(0.5, 6)
     root_pi = math.sqrt(math.pi)
-    assert float(rule.weights.sum()) == pytest.approx(root_pi / 2, abs=1e-13)
-    moment = float((rule.weights * rule.nodes**2).sum())
+    assert float(weights.sum()) == pytest.approx(root_pi / 2, abs=1e-13)
+    moment = float((weights * nodes**2).sum())
     assert moment == pytest.approx(15 * root_pi / 8, abs=1e-12)  # Gamma(7/2)
 
 
 @pytest.mark.parametrize("alpha,n_nodes", [(0.0, 5), (0.5, 8), (1.5, 12)])
 def test_rule_exactness_invariant(alpha, n_nodes):
-    rule = oracles.gauss_laguerre_rule(alpha, n_nodes)
+    nodes, weights = oracles.gauss_laguerre_rule(alpha, n_nodes)
     for j in range(2 * n_nodes):
-        approx = float((rule.weights * rule.nodes**j).sum())
+        approx = float((weights * nodes**j).sum())
         exact = math.exp(math.lgamma(alpha + j + 1.0))
         assert abs(approx - exact) < 1e-12 * exact
 
 
 def test_large_rule_exactness_in_log_space():
     # monomials near the exactness edge overflow doubles, so compare in log space
-    rule = oracles.gauss_laguerre_rule(0.5, 130)
-    log_w = np.log(rule.weights)
+    nodes, weights = oracles.gauss_laguerre_rule(0.5, 130)
+    log_w = np.log(weights)
     for j in (150, 259):
-        terms = np.exp(log_w + j * np.log(rule.nodes) - math.lgamma(0.5 + j + 1.0))
+        terms = np.exp(log_w + j * np.log(nodes) - math.lgamma(0.5 + j + 1.0))
         assert abs(float(terms.sum()) - 1.0) < 1e-12
 
 
 def test_rule_matches_scipy():
     for alpha, n_nodes in ((0.5, 20), (0.0, 64), (0.5, 130)):
-        rule = oracles.gauss_laguerre_rule(alpha, n_nodes)
-        nodes, weights = roots_genlaguerre(n_nodes, alpha)
-        assert np.abs(rule.nodes - np.sort(nodes)).max() < 1e-10
-        assert np.abs((rule.weights - weights) / weights).max() < 1e-10
+        nodes, weights = oracles.gauss_laguerre_rule(alpha, n_nodes)
+        scipy_x, scipy_w = roots_genlaguerre(n_nodes, alpha)
+        assert np.abs(nodes - np.sort(scipy_x)).max() < 1e-10
+        assert np.abs((weights - scipy_w) / scipy_w).max() < 1e-10
 
 
 def scipy_nodes(alpha, n_nodes):
@@ -64,22 +63,28 @@ def scipy_nodes(alpha, n_nodes):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3, -0.4, 2.0, 1.0, -0.5])
 def test_nodes_equal_scipy_tridiagonal_nodes_bit_for_bit(alpha):
-    # dense eigvalsh on one BLAS thread: ~10x faster on the small matrices
-    with _single_threaded_blas():
-        for n in [*range(1, 300), 381, 400, 512, 700, 1024, 1026]:
-            assert np.array_equal(oracles._laguerre_nodes(alpha, n), scipy_nodes(alpha, n)), n
+    for n in [*range(1, 300), 381, 400, 512, 700, 1024, 1026]:
+        assert np.array_equal(oracles._laguerre_nodes(alpha, n), scipy_nodes(alpha, n)), n
     # the rule itself takes those nodes: 258 of them serve closed-form at N = 256
-    assert np.array_equal(oracles.gauss_laguerre_rule(alpha, 258).nodes, scipy_nodes(alpha, 258))
+    assert np.array_equal(oracles.gauss_laguerre_rule(alpha, 258)[0], scipy_nodes(alpha, 258))
 
 
 @pytest.mark.parametrize("alpha", [0.5, -0.4])
 def test_nodes_do_not_depend_on_blas_threads(alpha):
-    sizes = (2, 31, 33, 64, 130, 258, 400, 1026)
-    free = [oracles._laguerre_nodes(alpha, n) for n in sizes]
-    with _single_threaded_blas():
-        pinned = [oracles._laguerre_nodes(alpha, n) for n in sizes]
-    for n, a, b in zip(sizes, free, pinned):
-        assert np.array_equal(a, b), n
+    handle = estimators._openblas_threads()
+    if handle is None:
+        pytest.skip("numpy.linalg is not linked against OpenBLAS: no thread count to set")
+    get, set_ = handle
+    sizes, before = (2, 31, 33, 64, 130, 258, 400, 1026), get()
+    try:
+        runs = []  # more threads than CPUs only oversubscribe: 4 on 2 CPUs took 7 s at 1026
+        for threads in sorted({1, 2, min(4, estimators._usable_cpus())}):
+            set_(threads)
+            runs.append([oracles._laguerre_nodes(alpha, n) for n in sizes])
+    finally:
+        set_(before)
+    for n, *nodes in zip(sizes, *runs):
+        assert all(np.array_equal(nodes[0], other) for other in nodes[1:]), n
 
 
 def test_rule_rejects_bad_arguments():
@@ -90,6 +95,15 @@ def test_rule_rejects_bad_arguments():
     # the weight's mass Gamma(alpha + 1) overflows a double from alpha ≈ 171 on
     with pytest.raises(ValueError, match="weight exponent 300.0"):
         oracles.gauss_laguerre_rule(300.0, 4)
+    # the weights times e^x overflow from alpha ≈ 97 at 300 nodes, checked once for the
+    # rule and the table, with no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weight exponent 100.0 is too large for 300 nodes"):
+            oracles.gauss_laguerre_rule(100.0, 300)
+        for n, q in ((300, 160.0), (400, 100.0)):
+            with pytest.raises(ValueError, match=f"weight exponent {q} is too large"):
+                oracles.quadrature_moment_table(n, q)
 
 
 def test_quadrature_table_refuses_oversized_table(monkeypatch):
@@ -112,10 +126,10 @@ def plain_scaled_laguerre_rows(n_rows, x):
 
 def test_scaled_rows_unchanged_where_nothing_underflows():
     # the alpha = 0 orthonormal rows are (-1)^k L_k e^{-x/2}, bit for bit
-    rule = oracles.gauss_laguerre_rule(0.5, 130)
-    rows = oracles._scaled_rows(0.0, 128, rule.nodes)
+    nodes, _ = oracles.gauss_laguerre_rule(0.5, 130)
+    rows = oracles._scaled_rows(0.0, 128, nodes)
     rows[1::2] *= -1
-    assert np.array_equal(rows, plain_scaled_laguerre_rows(128, rule.nodes))
+    assert np.array_equal(rows, plain_scaled_laguerre_rows(128, nodes))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0, 10.0])
@@ -385,7 +399,7 @@ def test_spectral_mc_holds_one_copy_of_its_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_vandermonde_mc_slices_keep_the_block_bits(n):
-    # two full slices of states and a short last one in one block: the bits of the
+    # 2N full slices of 2^16 draws and a short last one in one block: the bits of the
     # block's exponentials drawn whole and the integrand evaluated on all of them
     samples = 2 * sampling._UNIFORM_SLICE + 5
     est = oracles.vandermonde_sqrt_integral_mc(n, samples, RngStream(263, n))
@@ -395,9 +409,9 @@ def test_vandermonde_mc_slices_keep_the_block_bits(n):
 
 def test_vandermonde_mc_holds_its_values_and_one_slice():
     # one block of 2^20 states at N = 2: its values (8 MiB), squared in place by the
-    # block statistics, and one slice (10.0 MiB measured); a copy of the deviations
-    # peaked at 16 MiB, and drawn whole, the exponentials and the integrand's
-    # temporaries at 32 MiB
+    # block statistics, and one slice of 2^16 draws (9.0 MiB measured); a copy of the
+    # deviations peaked at 16 MiB, and drawn whole, the exponentials and the
+    # integrand's temporaries at 32 MiB
     oracles.vandermonde_sqrt_integral_mc(2, 10, RngStream(2, 0))
     tracemalloc.start()
     try:

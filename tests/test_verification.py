@@ -20,8 +20,7 @@ def fresh_moment_cache():
 
 def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
     def poisoned(n, q):
-        values = np.full((n, n), np.nan)
-        return MomentTable(q=q, values=values)
+        return MomentTable(values=np.full((n, n), np.nan))
 
     monkeypatch.setattr(oracles, "quadrature_moment_table", poisoned)
     with pytest.raises(cf.PrecisionError, match="nan"):
