@@ -6,9 +6,9 @@ moments
 
     I_kl(q) = integral of L_k(x) L_l(x) x^q e^{-x} over [0, inf),
 
-evaluated here by its closed-form series. The series route is independently
-cross-checked against the quadrature route in :mod:`haar_coherence.oracles`;
-`avg_coherence_mixed` refuses to return a value if the two routes disagree.
+through its q = 1/2 bracket (sum_k I_kk)^2 - sum_kl I_kl^2, taken from prefix sums; `moment_table`
+gives the table itself by its series. Each is cross-checked against the quadrature route in
+:mod:`haar_coherence.oracles`; `avg_coherence_mixed` returns no value where the brackets disagree.
 """
 
 import math
@@ -27,9 +27,11 @@ _LEVY_DENOM = 9.0 * math.pi**3 * math.log(2.0)
 # Maximum tolerated series-vs-quadrature disagreement per table entry.
 MOMENT_GATE = 1e-9
 
-# Largest series moment table (degrees 0..n-1). The series-vs-quadrature gap
-# is 4.9e-11 here, 20x inside MOMENT_GATE; the series costs O(n^3), ~2.5 s at
-# this size on one x86-64 core, and minutes at a few thousand.
+BRACKET_GATE = 1e-12  # maximum tolerated relative gap between the two bracket routes
+
+# Largest moment table (degrees 0..n-1) of either route, and so the largest N of the mixed
+# closed forms: their bracket's gate needs the quadrature table (gap <= 7.0e-15 relative). The
+# series (gap 4.9e-11, 20x inside MOMENT_GATE) costs O(n^3), ~2.5 s at this n on an x86-64 core.
 MAX_TABLE_SIZE = 1024
 
 # Padded terms per exact sum of short series rows together, and per scratch slice.
@@ -45,20 +47,6 @@ class MomentTable:
     """Symmetric table of weighted Laguerre moments."""
 
     values: np.ndarray  # (n, n), values[k, l] = I_kl(q)
-
-
-def _gen_binomial_array(q: float, m: int) -> np.ndarray:
-    b = np.empty(m + 1)
-    b[0] = 1.0
-    for i in range(m):
-        b[i + 1] = b[i] * (q - i) / (i + 1)
-    return b
-
-
-def _gamma_ratios(q: float, m: int) -> np.ndarray:
-    # Gamma(q + r + 1) / r! for r = 0..m-1, in log space: the ratio overflows
-    # a double near degree 170 otherwise. libm's exp and lgamma pin the bits.
-    return np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0)) for r in range(m)])
 
 
 def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
@@ -118,8 +106,8 @@ def moment_table(n: int, q: float) -> MomentTable:
     Entry (k, l) is (-1)^(k+l) times the sum of (b[k-r] b[l-r]) g[r] over r = 0..k, with
     b[m] = binom(q, m) and g[r] = Gamma(q+r+1)/r!, summed exactly and rounded once, which
     keeps the alternating series accurate at large degrees. Rows k..stop-1 are summed in one
-    call, as columns of length stop padded with -0.0, the additive identity: it changes
-    neither an exact sum nor fsum's result, signed zeros included.
+    call, from the top degree down, as columns of length stop padded with -0.0, the additive
+    identity: it changes neither an exact sum nor fsum's result, signed zeros included.
 
     Refuses n above MAX_TABLE_SIZE before allocating anything: the series
     costs O(n^3) and the table O(n^2) memory.
@@ -128,15 +116,20 @@ def moment_table(n: int, q: float) -> MomentTable:
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
     try:  # Gamma(q + r + 1)/r!, a term or an entry's exact sum overflowing a double
-        g, b = _gamma_ratios(q, n), _gen_binomial_array(q, n - 1)
+        # g[r] = Gamma(q + r + 1)/r! in log space, as it overflows a double near degree 170
+        # otherwise; libm's exp and lgamma pin the bits. b[m] = binom(q, m) by its recurrence.
+        g = np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0)) for r in range(n)])
+        b = np.ones(n)
+        for i in range(n - 1):
+            b[i + 1] = b[i] * (q - i) / (i + 1)
         # window[x, r] = b[x - r] for r <= x: a strided view of b behind n - 1 zeros
         window = np.ndarray((n, n), buffer=np.concatenate([np.zeros(n - 1), b]),
                             offset=8 * (n - 1), strides=(8, -8))
-        values, k = np.empty((n, n)), 0
-        while k < n:
-            stop, entries = k + 1, n - k
-            while stop < n and (stop + 1) * (entries + n - stop) <= _SUM_BLOCK:
-                stop, entries = stop + 1, entries + n - stop
+        values, stop = np.empty((n, n)), n
+        while stop > 0:  # highest degrees first, where an overflow shows
+            k, entries = stop - 1, n - stop + 1
+            while k > 0 and stop * (entries + n - k + 1) <= _SUM_BLOCK:
+                k, entries = k - 1, entries + n - k + 1
             terms, at = np.full((stop, entries), -0.0), 0  # a column per entry (j, l), l = j..n-1
             for j in range(k, stop):
                 pairs = window[j:, :j + 1].T  # pairs[r, l - j] = b[l - r]; column 0: b[j - r]
@@ -148,32 +141,12 @@ def moment_table(n: int, q: float) -> MomentTable:
                 row, sums = sums[:n - j], sums[n - j:]
                 np.negative(row[1::2], out=row[1::2])
                 values[j, j:] = values[j:, j] = row
-            k = stop
+            stop = k
     except (OverflowError, FloatingPointError):
         raise ValueError(f"weight exponent q = {q} is too large for degree {n - 1}: "
                          "the series overflows a double") from None
     values.flags.writeable = False
     return MomentTable(values=values)
-
-
-@lru_cache(maxsize=None)
-def validated_half_moment_table(n: int) -> MomentTable:
-    """q = 1/2 series table, gated against the independent quadrature route.
-
-    Raises PrecisionError if any entry differs by more than MOMENT_GATE; a
-    silently wrong table would poison every mixed-ensemble average built on it.
-    """
-    from . import oracles  # function-level import breaks the module cycle
-
-    # quadrature first, for a lower peak; it refuses an oversized table as the series does
-    quadrature = oracles.quadrature_moment_table(n, 0.5)
-    series = moment_table(n, 0.5)
-    gap = np.subtract(series.values, quadrature.values)  # one n x n temporary
-    gap = float(np.abs(gap, out=gap).max())
-    if not gap <= MOMENT_GATE:  # NaN fails too
-        raise PrecisionError(
-            f"moment table routes disagree by {gap:.3e} (gate {MOMENT_GATE:.0e}) at n={n}")
-    return series
 
 
 def moment_bracket(values: np.ndarray) -> float:
@@ -185,6 +158,36 @@ def moment_bracket(values: np.ndarray) -> float:
     return diag * diag - squares
 
 
+@lru_cache(maxsize=None)
+def half_moment_bracket(n: int) -> float:
+    """Bracket (sum_k I_kk)^2 - sum_kl I_kl^2 of the q = 1/2 table, degrees < n, as pi Q in O(n^2).
+
+    By moment_table's series with g = sqrt(pi) g~, Q = (sum_r g~_r c_rr)^2 - sum_rs g~_r g~_s c_rs^2
+    with c_rs = sum_k b_{k-r} b_{k-s} over k >= max(r, s): on the diagonal |r - s| = d, a reversed
+    prefix sum of b_j b_{j+d}. b_j = binom(1/2, j) and g~_r are exact dyadic rationals rounded
+    once; products, cumsum and fsum fix the bits on any SIMD class or BLAS build. Raises
+    PrecisionError unless within BRACKET_GATE, relative, of the quadrature bracket; NaN fails."""
+    from . import oracles  # function-level import breaks the module cycle
+    reference = moment_bracket(oracles.quadrature_moment_table(n, 0.5).values)  # refuses n first
+    # b_j = (-1)^(j+1) 2 C(2j-2, j-1)/(j 4^j), g~_j = (2j+1) C(2j, j)/2^(2j+1), from Python ints
+    b, g, central = np.ones(n), np.full(n, 0.5), 1  # central = C(2j-2, j-1), then C(2j, j)
+    for j in range(1, n):
+        b[j] = (-1) ** (j + 1) * 2 * central / (j * 4**j)
+        central = central * 2 * (2 * j - 1) // j
+        g[j] = (2 * j + 1) * central / 2 ** (2 * j + 1)
+    trace = math.fsum((g * np.cumsum(b * b)[::-1]).tolist())
+    squares = math.fsum((2 if d else 1) * math.fsum((g[:n - d] * g[d:] * c**2).tolist())
+                        for d in range(n) for c in [np.cumsum(b[:n - d] * b[d:])[::-1]])
+    bracket = math.pi * (trace * trace - squares)
+    if not abs(bracket - reference) <= BRACKET_GATE * abs(reference):
+        raise PrecisionError(f"bracket routes disagree at n={n}: prefix sums {bracket!r}, "
+                             f"quadrature {reference!r}, gap {abs(bracket - reference):.3e}")
+    return bracket
+
+
+validated_half_moment_table = half_moment_bracket  # old name, read by perfbench's traced mode
+
+
 def avg_coherence_pure(n: int) -> float:
     """Average coherence of Haar-random pure states: (n - 1)/(n + 1)."""
     _require_dim(n)
@@ -194,13 +197,11 @@ def avg_coherence_pure(n: int) -> float:
 def avg_coherence_mixed(n: int) -> float:
     """Average coherence of Hilbert-Schmidt random mixed states.
 
-    Evaluates 1 - (2 + bracket/n^2)/(n + 1) from the q = 1/2 moment table over
-    degrees 0..n-1, checked against the quadrature oracle first.
+    Evaluates 1 - (2 + bracket/n^2)/(n + 1) from half_moment_bracket(n), checked
+    against the quadrature oracle first.
     """
     _require_dim(n)
-    if n == 1:
-        return 0.0
-    return 1.0 - (2.0 + moment_bracket(validated_half_moment_table(n).values) / n**2) / (n + 1)
+    return 1.0 - (2.0 + half_moment_bracket(n) / n**2) / (n + 1)
 
 
 def vandermonde_sqrt_integral(n: int) -> float:
@@ -209,16 +210,14 @@ def vandermonde_sqrt_integral(n: int) -> float:
     bracket of the q = 1/2 table."""
     _require_dim(n, 2)
     log_prefactor = math.lgamma(n - 1) + 2.0 * math.fsum(math.lgamma(j) for j in range(1, n + 1))
-    return math.exp(log_prefactor) * moment_bracket(validated_half_moment_table(n).values)
+    return math.exp(log_prefactor) * half_moment_bracket(n)
 
 
 def trace_sqrt_squared_average(n: int) -> float:
     """Spectral average of (Tr sqrt(rho))^2 over the Hilbert-Schmidt ensemble:
     1 + bracket/n^2."""
     _require_dim(n)
-    if n == 1:
-        return 1.0
-    return 1.0 + moment_bracket(validated_half_moment_table(n).values) / n**2
+    return 1.0 + half_moment_bracket(n) / n**2
 
 
 def max_coherence(n: int) -> float:

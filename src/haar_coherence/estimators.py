@@ -323,8 +323,8 @@ def figure1_sweep(max_exp: int, samples: int, seed: int,
                   chunk_size: int = DEFAULT_CHUNK_SIZE, threads: int = 1):
     """Analytic vs Monte Carlo average mixed-state coherence for n = 2^m.
 
-    One row per m = 1..max_exp. The analytic column comes from the validated
-    moment table, so a series/quadrature disagreement aborts the sweep.
+    One row per m = 1..max_exp. The analytic column comes from the gated
+    moment bracket, so a prefix-sum/quadrature disagreement aborts the sweep.
     """
     if max_exp < 1:
         raise ValueError(f"max_exp must be >= 1, got {max_exp}")

@@ -1,10 +1,10 @@
 """Independent verification engines.
 
 Each quantity checked here is reachable by two unrelated routes: the
-closed-form series against exact generalized Gauss-Laguerre quadrature, the
-unitary twirl formula against brute-force Haar averaging, and the spectral
-closed forms against Monte Carlo over the actual samplers. The quadrature
-route never touches the series code in :mod:`haar_coherence.closed_forms`.
+closed-form series and prefix-sum bracket against exact generalized
+Gauss-Laguerre quadrature, the unitary twirl formula against brute-force Haar
+averaging, and the spectral closed forms against Monte Carlo over the actual
+samplers. The quadrature route never touches the series or bracket code.
 """
 
 import math

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import PI_60, exact_half_bracket_q, ulps_from
 from haar_coherence import closed_forms as cf
 from haar_coherence.coherence import skew_coherence_pure
 
@@ -26,7 +28,9 @@ def test_laguerre_moment_orthogonality_at_q_zero():
 def reference_moment(k, l, q):
     """The series as one generator of Python terms per entry: the reference
     the vectorized rows must reproduce bit for bit."""
-    b = cf._gen_binomial_array(q, max(k, l))
+    b = [1.0]  # binom(q, m), by moment_table's recurrence
+    for i in range(max(k, l)):
+        b.append(b[-1] * (q - i) / (i + 1))
     sign = -1.0 if (k + l) % 2 else 1.0
     terms = (
         b[k - r] * b[l - r] * math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0))
@@ -145,6 +149,7 @@ def test_moment_table_refuses_a_weight_exponent_it_cannot_represent():
 def test_mixed_closed_forms_are_python_floats():
     # figure1 writes the analytic column with repr, which numpy scalars change
     assert type(cf.moment_bracket(cf.moment_table(5, 0.5).values)) is float
+    assert type(cf.half_moment_bracket(5)) is float
     assert type(cf.avg_coherence_mixed(4)) is float
 
 
@@ -158,6 +163,8 @@ def test_avg_coherence_pure():
 
 
 def test_avg_coherence_mixed_exact_small_dimensions():
+    # both bracket routes give exactly 0 at n = 1, where no branch of its own is left
+    assert cf.half_moment_bracket(1) == 0.0 and cf.trace_sqrt_squared_average(1) == 1.0
     assert cf.avg_coherence_mixed(1) == 0.0
     assert abs(cf.avg_coherence_mixed(2) - (1.0 / 3.0 - math.pi / 16)) < 1e-12
     assert abs(cf.avg_coherence_mixed(3) - (0.5 - 103 * math.pi / 1024)) < 1e-12
@@ -303,7 +310,87 @@ def test_comparison_orderings():
 
 
 def test_validated_table_is_cached():
-    a = cf.validated_half_moment_table(16)
-    b = cf.validated_half_moment_table(16)
+    # the bracket replaced the validated table; its old name stays an alias of the same cache
+    assert cf.validated_half_moment_table is cf.half_moment_bracket
+    cf.half_moment_bracket.cache_clear()
+    a = cf.half_moment_bracket(16)
+    b = cf.half_moment_bracket(16)
     assert a is b
-    assert not a.values.flags.writeable
+    info = cf.half_moment_bracket.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_exact_bracket_helper_is_pinned():
+    assert exact_half_bracket_q(2) == Fraction(3, 4)
+    assert exact_half_bracket_q(3) == Fraction(927, 256)
+    assert exact_half_bracket_q(5) == Fraction(89021175, 2**22)
+    # avg_coherence_mixed = 1 - (2 + pi Q_n/n^2)/(n + 1): 1/3 - pi/16 and 1/2 - 103 pi/1024
+    assert exact_half_bracket_q(2) / 4 / 3 == Fraction(1, 16)
+    assert exact_half_bracket_q(3) / 9 / 4 == Fraction(103, 1024)
+
+
+BRACKET_DIMS = [*range(2, 65), 128, 256]
+
+
+@pytest.mark.parametrize("n", BRACKET_DIMS)
+def test_half_moment_bracket_is_within_8_ulps_of_pi_q(n):
+    # measured <= 4.72 ulps (N = 256)
+    assert abs(ulps_from(cf.half_moment_bracket(n), PI_60 * exact_half_bracket_q(n))) <= 8
+
+
+@pytest.mark.parametrize("n", BRACKET_DIMS)
+def test_avg_coherence_mixed_is_within_16_ulps_of_its_exact_value(n):
+    # 1 - (2 + pi Q_n/n^2)/(n + 1), measured <= 9.40 ulps (N = 256)
+    exact = 1 - (2 + PI_60 * exact_half_bracket_q(n) / n**2) / (n + 1)
+    assert abs(ulps_from(cf.avg_coherence_mixed(n), exact)) <= 16
+
+
+def mutant_bracket(old, new):
+    """half_moment_bracket rebuilt from its source with `old` replaced by `new` once: an
+    injected defect, with a cache of its own."""
+    source = inspect.getsource(cf.half_moment_bracket.__wrapped__)
+    assert source.count(old) == 1
+    namespace = dict(vars(cf))
+    exec(source.replace(old, new), namespace)
+    return namespace["half_moment_bracket"]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("b[j] = (-1) ** (j + 1)", "b[j] = (-1) ** j"),  # the sign of every b_j, j >= 1, flipped
+    ("(2 if d else 1) * ", ""),  # the off-diagonal factor 2 dropped
+    ("g[j] = (2 * j + 1)", "g[j - 1] = (2 * j + 1)"),  # g~_{r+1} in place of g~_r
+])
+@pytest.mark.parametrize("n", [3, 8, 64])  # at n = 2 the first and third leave Q unchanged
+def test_bracket_gate_catches_an_injected_defect(old, new, n):
+    with pytest.raises(cf.PrecisionError, match=f"bracket routes disagree at n={n}"):
+        mutant_bracket(old, new)(n)
+    assert mutant_bracket(old, old)(n) == cf.half_moment_bracket(n)  # the rebuild itself is sound
+
+
+def test_mixed_closed_forms_call_no_series_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the O(n^3) series on the Hilbert-Schmidt path")
+
+    monkeypatch.setattr(cf, "moment_table", refused)
+    cf.half_moment_bracket.cache_clear()
+    for closed_form in (cf.avg_coherence_mixed, cf.trace_sqrt_squared_average,
+                        cf.vandermonde_sqrt_integral):
+        assert math.isfinite(closed_form(5))
+    assert cf.half_moment_bracket.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n", [1024, 700, 400])
+def test_moment_table_refuses_an_overflowing_exponent_in_its_first_block(monkeypatch, n):
+    # the top degrees are summed first, so their overflow refuses at once: the products overflow
+    # before the first block's exact sum; the parent summed up from degree 0 and met it last
+    calls = []
+    exact_column_sums = cf._exact_column_sums
+
+    def counted(terms):
+        calls.append(terms.shape)
+        return exact_column_sums(terms)
+
+    monkeypatch.setattr(cf, "_exact_column_sums", counted)
+    with pytest.raises(ValueError, match="weight exponent q = 100.0"):
+        cf.moment_table(n, 100.0)
+    assert len(calls) <= 1

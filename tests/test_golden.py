@@ -4,8 +4,8 @@ The byte-exact values below were recorded once and must not drift: they pin
 the RNG stream, the series moment tables and the LAPACK-free CLI paths
 (pure-state mean, tail, sample of pure states and of unitaries up to
 N = 3, which are orthonormalized by Gram-Schmidt, and the mixed-state
-closed form, whose value comes from the series alone; the quadrature only
-gates it). Paths that go through LAPACK (eigh, QR) are pinned by
+closed form, whose value comes from the prefix-sum bracket alone; the
+quadrature only gates it). Paths that go through LAPACK (eigh, QR) are pinned by
 thread-count invariance instead, because their last bits may differ between
 BLAS builds.
 
@@ -253,10 +253,12 @@ def test_series_moment_table_digest(n, q, digest):
 
 
 @pytest.mark.parametrize("n,value", [
-    (2, "0.1369837924839712"),
-    (128, "0.2773010972480947"),
-    (256, "0.27839937725103636"),
-    (512, "0.2789471646365037"),  # recorded before exact extraction
+    # recorded from the prefix-sum bracket, which rests on no SIMD loop or BLAS call; each moved
+    # toward 1 - (2 + pi Q_N/N^2)/(N + 1) from the series table's ...712, ...947, ...103636, ...5037
+    (2, "0.1369837924839713"),
+    (128, "0.2773010972480956"),
+    (256, "0.27839937725101993"),
+    (512, "0.27894716463649216"),
 ])
 def test_mixed_avg_closed_form_is_golden(capsys, n, value):
     out = run_cli(capsys, "closed-form", "--measure", "mixed-avg", "--dim", str(n))

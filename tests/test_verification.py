@@ -13,9 +13,9 @@ from haar_coherence.sampling import RngStream
 
 @pytest.fixture
 def fresh_moment_cache():
-    cf.validated_half_moment_table.cache_clear()
+    cf.half_moment_bracket.cache_clear()
     yield
-    cf.validated_half_moment_table.cache_clear()
+    cf.half_moment_bracket.cache_clear()
 
 
 def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
@@ -24,9 +24,14 @@ def test_moment_gate_fails_closed_on_nan(monkeypatch, fresh_moment_cache):
 
     monkeypatch.setattr(oracles, "quadrature_moment_table", poisoned)
     with pytest.raises(cf.PrecisionError, match="nan"):
-        cf.validated_half_moment_table(4)
+        cf.half_moment_bracket(4)
     with pytest.raises(cf.PrecisionError):
         cf.avg_coherence_mixed(4)
+    # a NaN of the prefix-sum route fails too: pi Q becomes NaN when pi does
+    monkeypatch.undo()
+    monkeypatch.setattr(cf.math, "pi", math.nan)
+    with pytest.raises(cf.PrecisionError, match="prefix sums nan"):
+        cf.half_moment_bracket(4)
 
 
 def test_moment_routes_reports_the_gate_it_tests(monkeypatch):
