@@ -80,10 +80,8 @@ def stats_of(values: np.ndarray) -> list:
 def merge_stats(a, b):
     """Pairwise combination of two (count, mean, M2) partials."""
     (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
-    if na == 0:
+    if na == 0:  # b itself: mean_b nb / nb may round away from mean_b
         return b
-    if nb == 0:
-        return a
     n = na + nb
     delta = mean_b - mean_a
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n

@@ -181,14 +181,17 @@ def _column_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _gram(block: np.ndarray) -> np.ndarray:
-    """Overwrite each matrix G of a (b, n, n) block with G G† / Tr(G G†) and return it; up to
-    _ELEMENTWISE_GRAM_MAX_DIM entry by entry (diagonal, upper triangle, its conjugate) in real
-    arithmetic, which rounds alike in any loop numpy picks, so a state's bits are its own."""
+    """Overwrite each matrix G of a (b, n, n) block with G G† / Tr(G G†) and return it. Above
+    _ELEMENTWISE_GRAM_MAX_DIM, W = G G† is made exactly Hermitian in G's buffer as (W† + W)
+    times 0.5 / Σ Re W_ii: the bits of ((W + W†)/2) / Tr W, as numpy divides a by t + 0j as
+    a·fl(1/t) and fl(0.5/t) = fl(1/t)/2. Up to it entry by entry (diagonal, upper triangle,
+    its conjugate) in real arithmetic, which rounds alike in any loop numpy picks."""
     n = block.shape[-1]
     if n > _ELEMENTWISE_GRAM_MAX_DIM:
         w = block @ np.conj(np.swapaxes(block, 1, 2))
-        w = (w + np.conj(np.swapaxes(w, 1, 2))) / 2
-        return np.divide(w, np.einsum("bii->b", w).real[:, None, None], out=block)
+        scale = (0.5 / np.einsum("bii->b", w).real).astype(complex)[:, None, None]
+        np.add(np.conjugate(np.swapaxes(w, 1, 2), out=block), w, out=block)
+        return np.multiply(block, scale, out=block)
     upper_i, upper_j = np.triu_indices(n, 1)
     diagonal = _column_sum(block.real ** 2 + block.imag ** 2)
     g_i, g_j = block[:, upper_i], block[:, upper_j]

@@ -70,8 +70,3 @@ def render_sweep_svg(rows) -> str:
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="#d62728"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_sweep_svg(path, rows):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_sweep_svg(rows))

@@ -65,6 +65,23 @@ def test_module_entry_point_runs_and_fails_closed(dim, code):
         assert proc.stdout == "" and "positive integer" in proc.stderr
 
 
+def test_only_the_cli_freezes_the_collector():
+    # the library leaves a user's collector as it was; importing the command line surface
+    # moves every object so far to the collector's permanent generation
+    script = ("import gc, sys\n"
+              "import haar_coherence\n"
+              "from haar_coherence import closed_forms, estimators, oracles, sampling, "
+              "verification\n"
+              "assert 'haar_coherence.cli' not in sys.modules\n"
+              "library = gc.get_freeze_count()\n"
+              "import haar_coherence.cli\n"
+              "print(library, gc.get_freeze_count())\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, check=True)
+    library, cli_imported = map(int, proc.stdout.split())
+    assert library == 0 and cli_imported > 0
+
+
 def test_no_module_imports_scipy():
     # numpy is the only runtime dependency: no import statement of the package,
     # function-level ones included, names scipy
