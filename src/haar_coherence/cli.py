@@ -21,7 +21,6 @@ gc.freeze()  # exit-time collections skip the ≈22 000 imported objects: 29 →
 _CLOSED_FORMS = {"pure-avg": "avg_coherence_pure", "mixed-avg": "avg_coherence_mixed",
                  "cr-pure-avg": "avg_cr_pure", "cr-mixed-avg": "avg_cr_mixed",
                  "max": "max_coherence"}
-_CLOSED_FORM_MEASURES = (*_CLOSED_FORMS, "subspace-dim")
 
 
 def _checked(convert, accept, wanted):
@@ -128,58 +127,49 @@ def build_parser():
         "Skew information-based coherence of random quantum states: closed forms, samplers, "
         "Monte Carlo experiments and verification oracles."))
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {  # the options of several commands, each defined once
+        "--ensemble": {"choices": estimators.ENSEMBLES, "required": True},
+        "--dim": {"type": _positive_int, "required": True, "help": "Hilbert space dimension"},
+        "--samples": {"type": _positive_int, "default": 100000},
+        "--seed": {"type": _seed, "default": 42},
+        "--chunk": {"type": _positive_int, "default": estimators.DEFAULT_CHUNK_SIZE},
+        "--threads": {"type": _positive_int, "default": 1,
+                      "help": "worker threads, at most the usable CPUs"},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+    }
 
-    def command(name, func, text):
+    def command(name, func, text, *options):
+        """A subcommand taking the shared `options` first."""
         p = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func)
+        for option in options:
+            p.add_argument(option, **shared[option])
         return p
 
-    def chunk_and_threads(p):
-        p.add_argument("--chunk", type=_positive_int, default=estimators.DEFAULT_CHUNK_SIZE)
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker threads, at most the usable CPUs")
-
-    p = command("closed-form", _cmd_closed_form, "evaluate a closed-form quantity")
-    p.add_argument("--dim", type=_positive_int, required=True, help="Hilbert space dimension")
-    p.add_argument("--measure", choices=_CLOSED_FORM_MEASURES, required=True)
+    estimate = ("--ensemble", "--dim", "--samples", "--seed", "--chunk", "--threads", "--format")
+    p = command("closed-form", _cmd_closed_form, "evaluate a closed-form quantity", "--dim")
+    p.add_argument("--measure", choices=(*_CLOSED_FORMS, "subspace-dim"), required=True)
     p.add_argument("--epsilon", type=_positive_float, default=None,
                    help="deviation parameter (subspace-dim only)")
 
-    p = command("mc", _cmd_mc, "Monte Carlo average of a coherence measure")
-    p.add_argument("--ensemble", choices=estimators.ENSEMBLES, required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=_seed, default=42)
+    p = command("mc", _cmd_mc, "Monte Carlo average of a coherence measure", *estimate)
     p.add_argument("--measure", choices=("skew", "rel-ent"), default="skew")
-    chunk_and_threads(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = command("tail", _cmd_tail, "empirical tail frequency vs concentration bound")
-    p.add_argument("--ensemble", choices=estimators.ENSEMBLES, required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
+    p = command("tail", _cmd_tail, "empirical tail frequency vs concentration bound", *estimate)
     p.add_argument("--epsilon", type=_positive_float, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=_seed, default=42)
-    chunk_and_threads(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = command("figure1", _cmd_figure1, "dimension sweep of the mixed-state average")
+    p = command("figure1", _cmd_figure1, "dimension sweep of the mixed-state average",
+                "--samples", "--seed", "--chunk", "--threads")
     p.add_argument("--max-exp", type=_positive_int, required=True,
                    help="sweep N = 2^m for m = 1..max-exp")
-    p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--svg", default=None, help="optional SVG chart path")
-    chunk_and_threads(p)
 
-    p = command("verify", _cmd_verify, "run the verification suites")
+    p = command("verify", _cmd_verify, "run the verification suites", "--seed")
     p.add_argument("--suite", choices=verification.SUITES, default="all")
-    p.add_argument("--seed", type=_seed, default=42)
 
-    p = command("sample", _cmd_sample, "draw one state or unitary as JSON")
+    p = command("sample", _cmd_sample, "draw one state or unitary as JSON", "--dim", "--seed")
     p.add_argument("--ensemble", choices=("pure", "mixed", "unitary"), required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_seed, default=42)
     return parser
 
 

@@ -272,10 +272,8 @@ def coherent_subspace_dim(n: int, epsilon: float) -> int:
     _require_dim(n, 2)
     if not 0.0 < epsilon < 1.0 / n:
         raise ValueError(f"epsilon must lie in (0, 1/{n}), got {epsilon}")
-    numerator = n**3 * epsilon**2 - 1.0
-    if numerator <= 0.0:
-        return 0
-    return int(math.floor(numerator / (3095.0 * (3.0 - math.log(epsilon * n)))))
+    numerator = n**3 * epsilon**2 - 1.0  # over a denominator > 9, as epsilon n < 1
+    return max(0, math.floor(numerator / (3095.0 * (3.0 - math.log(epsilon * n)))))
 
 
 def lipschitz_constant_pure(n: int) -> float:

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from .linalg import _psd_root_spectrum, _require_hermitian, _require_psd, sqrt_psd
+from .linalg import (_psd_root_spectrum, _require_hermitian, _require_psd, hermitian_eigvalsh,
+                     sqrt_psd)
 from .sampling import _column_sum
 
 # Round-off slack on the admissible coherence range [0, 1 - 1/N].
@@ -40,10 +41,18 @@ def _shannon(x):
 
 
 def sqrt_diagonal(rho) -> np.ndarray:
-    """Diagonal <k|sqrt(rho)|k> = sum_a |v_ka|^2 sqrt(w_a) as a real vector,
-    or (..., n) for a stack, from the eigenpairs (w_a, v_a) of rho."""
-    root, vectors = _psd_root_spectrum(rho)
-    return np.einsum("...ka,...a->...k", np.abs(vectors) ** 2, root)
+    """Diagonal <k|sqrt(rho)|k> as a real vector, or (..., n) for a stack, the eigenvalues w_a
+    of rho clamped and checked as in sqrt_psd. At n = 2, (rho_kk + sqrt(w_1 w_2))/(sqrt(w_1) +
+    sqrt(w_2)) over the closed-form w, a clamped w_1 taken out of rho_kk (0 if both are): no
+    LAPACK, exact at rank 1. Else sum_a |v_ka|^2 sqrt(w_a) over the eigenpairs (w_a, v_a) of eigh."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        root, vectors = _psd_root_spectrum(rho)
+        return np.einsum("...ka,...a->...k", np.abs(vectors) ** 2, root)
+    values = hermitian_eigvalsh(_require_hermitian(rho))
+    low, high = np.split(np.sqrt(_require_psd(values, relative=True)), 2, axis=-1)
+    diagonal = np.diagonal(rho, axis1=-2, axis2=-1).real - np.where(low > 0, 0.0, values[..., :1])
+    return np.divide(diagonal + low * high, low + high, out=np.zeros_like(diagonal), where=high > 0)
 
 
 def skew_information(rho, k):
@@ -92,8 +101,7 @@ def relative_entropy_coherence(rho):
     Hermitian and PSD up to EIG_CLAMP, else ValueError; an (..., N, N) stack
     gives an array and raises if any member is invalid.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_hermitian(rho, "density matrix")
+    rho = _require_hermitian(np.asarray(rho, dtype=complex), "density matrix")
     spectrum = _require_psd(np.linalg.eigvalsh(rho))
     populations = np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, None)
     value = np.maximum(_shannon(populations) - _shannon(spectrum), 0.0)

@@ -26,12 +26,14 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def _require_hermitian(m, what="matrix"):
+    """m, if it is an exactly Hermitian matrix or (..., n, n) stack; else ValueError."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     # Exact equality; construction paths symmetrize with hermitian_part.
     # array_equal is False for NaN entries, so this also rejects non-finite input.
     if not np.array_equal(m, np.swapaxes(m.conj(), -1, -2)):
         raise ValueError(f"{what} is not exactly Hermitian; symmetrize with hermitian_part first")
+    return m
 
 
 def _eigvalsh_2(m):
@@ -112,13 +114,17 @@ def hermitian_eigvalsh(m) -> np.ndarray:
     return kernel(m.reshape(-1, n, n)).reshape(m.shape[:-1])
 
 
-def _require_psd(values):
-    """Ascending spectrum or (..., n) stack clipped at 0; ValueError below -EIG_CLAMP or on NaN."""
+def _require_psd(values, relative=False):
+    """Ascending spectrum or (..., n) stack clipped at 0, and with `relative` each eigenvalue
+    below REL_CLAMP times the largest zeroed; ValueError below -EIG_CLAMP or on NaN."""
     smallest = values[..., 0].min(initial=0.0)
     if not smallest >= -EIG_CLAMP:
         raise ValueError(
             f"matrix is not PSD: smallest eigenvalue {smallest:.3e} is below {-EIG_CLAMP:.0e}")
-    return np.clip(values, 0.0, None)
+    values = np.clip(values, 0.0, None)
+    if relative:
+        values[values < REL_CLAMP * values[..., -1:]] = 0.0
+    return values
 
 
 def _psd_root_spectrum(rho):
@@ -129,17 +135,14 @@ def _psd_root_spectrum(rho):
     largest one are clamped to zero before taking roots. Raises ValueError if
     rho is not exactly Hermitian or any eigenvalue is NaN or below -EIG_CLAMP.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_hermitian(rho)
+    rho = _require_hermitian(np.asarray(rho, dtype=complex))
     try:
         values, vectors = np.linalg.eigh(rho)
     except np.linalg.LinAlgError as exc:
         n = rho.shape[-1]
         raise np.linalg.LinAlgError(
             f"Hermitian eigensolver did not converge on a {n}x{n} matrix") from exc
-    values = _require_psd(values)
-    values[values < REL_CLAMP * values[..., -1:]] = 0.0
-    return np.sqrt(values), vectors
+    return np.sqrt(_require_psd(values, relative=True)), vectors
 
 
 def sqrt_psd(rho) -> np.ndarray:

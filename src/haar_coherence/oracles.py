@@ -161,8 +161,7 @@ def twofold_twirl(a, n: int) -> np.ndarray:
     swap inputs are fixed points exactly, even in floating point.
     """
     a = np.asarray(a, dtype=complex)
-    if n < 2:
-        raise ValueError(f"local dimension must be >= 2, got {n}")
+    _require_dim(n, 2)
     if a.shape != (n * n, n * n):
         raise ValueError(f"expected a {n * n}x{n * n} matrix, got shape {a.shape}")
     f = swap_operator(n)

@@ -44,10 +44,9 @@ class RngStream:
     """Counter-based random stream: Philox keyed by a splitmix64 avalanche mix
     of (master_seed, stream_index).
 
-    Uniform doubles come straight from the raw 64-bit Philox output, and
-    Gaussians use the polar Box-Muller transform (radius from the first
-    uniform block, phase from the second). Both choices are fixed because
-    they determine the bit-level output.
+    Uniform doubles come straight from the raw 64-bit Philox output. Gaussians use the polar
+    Box-Muller transform, radius from the first uniform block and phase e^(2 pi i u) from the
+    second, by the half-angle tangent (bit contract v5). These choices fix the output's bits.
 
     A stream must not be shared between concurrent workers; the chunked engine
     gives each worker its own and re-keys them from chunk to chunk.
@@ -86,19 +85,22 @@ class RngStream:
 
     def _normals(self, n: int, step: int, out: np.ndarray):
         """Write the next n complex normals `step` at a time into `out` (at their place if it
-        holds n, else at its start), yielding each slice. The stream holds the n radii, then
-        the n phases; a spare stream set to this one's state once a call reads the radii."""
+        holds n, else at its start), yielding each slice. The stream holds the n radii, then the n
+        phase uniforms u: e^(2 pi i u) = (h - 1) + i t h, t = tan(pi u), h = 2/(1 + t^2), one SIMD
+        tan a normal. A spare stream set to this one's state once a call reads the radii."""
         if self._ahead is None:  # kept: a new Philox seeds from the OS (20 us; a set 5 us)
             self._ahead = RngStream(0)
         self._ahead._bits.state, self._ahead._left = self._bits.state, self._left
         self._skip(n)
-        buffer = np.empty(min(step, n))  # the slice's phase uniforms, then its radii
+        buffer = np.empty(min(step, n))
         for start in range(0, n, step):
             part = (out[start:start + step] if out.size >= n else out)[:min(step, n - start)]
-            part.real = 0.0
-            np.multiply(self.uniform(part.size, buffer[:part.size]), 2 * np.pi, out=part.imag)
-            np.exp(part, out=part)
-            r = self._ahead.exponential(part.size, buffer[:part.size])
+            t = buffer[:part.size]  # the slice's phase uniforms u, then tan(pi u), then its radii
+            np.tan(np.multiply(self.uniform(part.size, t), np.pi, out=t), out=t)
+            h = np.divide(2.0, np.add(np.square(t, out=part.real), 1.0, out=part.real), out=part.real)
+            np.multiply(t, h, out=part.imag)  # sin(2 pi u) = t h and cos(2 pi u) = h - 1
+            np.subtract(h, 1.0, out=part.real)
+            r = self._ahead.exponential(part.size, t)
             np.multiply(np.sqrt(r, out=r), part, out=part)
             yield part
 

@@ -8,7 +8,8 @@ from scipy.special import xlogy
 from haar_coherence.coherence import (_shannon, relative_entropy_coherence,
                                       skew_coherence, skew_coherence_pure,
                                       skew_information, sqrt_diagonal)
-from haar_coherence.linalg import hermitian_part, partial_trace_b, sqrt_psd
+from haar_coherence.linalg import (_psd_root_spectrum, hermitian_eigvalsh, hermitian_part,
+                                   partial_trace_b, sqrt_psd)
 from haar_coherence.sampling import RngStream, haar_pure_batch, hs_mixed_batch
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -198,6 +199,78 @@ def test_stack_coherence_equals_per_state_loop(n):
     assert np.array_equal(skew_information(rho, k), [skew_information(r, k) for r in rho])
     psi = haar_pure_batch(RngStream(502, n), n, 20)
     assert np.array_equal(skew_coherence_pure(psi), [skew_coherence_pure(p) for p in psi])
+
+
+def eigh_sqrt_diagonal(rho):
+    """The diagonal of sqrt(rho) from LAPACK's eigenpairs, as at every n but 2."""
+    root, vectors = _psd_root_spectrum(rho)
+    return np.einsum("...ka,...a->...k", np.abs(vectors) ** 2, root)
+
+
+def test_qubit_sqrt_diagonal_calls_no_lapack(monkeypatch):
+    rho = hs_mixed_batch(RngStream(511, 2), 2, 1000)
+    expected = skew_coherence(rho)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called at n = 2")
+
+    for name in ("eigh", "eigvalsh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert np.array_equal(skew_coherence(rho), expected)
+
+
+def test_qubit_sqrt_diagonal_is_exact_at_rank_one():
+    # the small eigenvalue is clamped, so the root is rho_kk / sqrt(w_2) less the clamped
+    # round-off: the populations of an exact projector, bit for bit
+    for psi in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.6, 0.8j], [2**-0.5, -(2**-0.5)]):
+        rho = hermitian_part(np.outer(psi, np.conj(psi)))
+        w = hermitian_eigvalsh(rho)
+        assert w[0] < 1e-16
+        assert np.array_equal(sqrt_diagonal(rho), (rho.diagonal().real - w[0]) / np.sqrt(w[1]))
+    assert np.array_equal(sqrt_diagonal(np.diag([1.0, 0.0])), [1.0, 0.0])
+    assert np.array_equal(sqrt_diagonal(np.full((2, 2), 0.5)), [0.5, 0.5])
+    psi = haar_pure_batch(RngStream(512, 2), 2, 10**4)
+    rho = hermitian_part(np.einsum("bi,bj->bij", psi, psi.conj()))
+    np.testing.assert_allclose(sqrt_diagonal(rho), np.abs(psi) ** 2, rtol=0, atol=6e-16)
+
+
+def test_qubit_sqrt_diagonal_matches_eigh_on_a_stress_grid():
+    # mixtures (1 - p) |psi><psi| + p I/2 from near-pure to maximally mixed, scaled by
+    # traces far from 1, and Hilbert-Schmidt states; the closed form and eigh agree to
+    # 3e-14 where sqrt(w_1) is well conditioned (w_1 / w_2 >= 1e-4 here; below, both lose
+    # about 1e-16 / sqrt(w_1), and the closed form was the nearer to a 50-digit reference);
+    # in units of sqrt(Tr rho), the scale of sqrt(rho)
+    psi = haar_pure_batch(RngStream(513, 2), 2, 500)
+    pure = np.einsum("bi,bj->bij", psi, psi.conj())
+    grid = [hermitian_part(scale * ((1 - p) * pure + p * np.eye(2) / 2))
+            for p in (2e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 1 - 1e-9, 1.0)
+            for scale in (1e-6, 1.0, 1e3)]
+    grid.append(hs_mixed_batch(RngStream(514, 2), 2, 10**4))
+    rho = np.concatenate(grid)
+    w = hermitian_eigvalsh(rho)
+    rho = rho[w[:, 0] >= 1e-4 * w[:, 1]]
+    assert len(rho) >= 23000
+    gap = np.abs(sqrt_diagonal(rho) - eigh_sqrt_diagonal(rho))
+    assert (gap <= 3e-14 * np.sqrt(np.trace(rho, axis1=1, axis2=2).real)[:, None]).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the spectrum
+def test_qubit_sqrt_diagonal_fails_closed_as_eigh_does():
+    stack = hs_mixed_batch(RngStream(515, 2), 2, 4)
+    for bad, match in ((np.nan, "Hermitian"), (1e-15j, "Hermitian")):
+        states = stack.copy()
+        states[2, 1, 0] += bad
+        with pytest.raises(ValueError, match=match):
+            sqrt_diagonal(states)
+    states = stack.copy()
+    states[3] = [[1.5, 0.3], [0.3, -0.5]]
+    with pytest.raises(ValueError, match="not PSD"):
+        skew_coherence(states)
+    with pytest.raises(ValueError, match="not PSD"):
+        skew_coherence(np.diag([np.inf, 1.0]))
+    # within EIG_CLAMP of PSD, and 0: the roots of the clamped spectrum, as eigh's
+    for rho in (np.diag([1.0 + 1e-11, -1e-11]), np.zeros((2, 2)), np.diag([-1e-11, -1e-11])):
+        np.testing.assert_allclose(sqrt_diagonal(rho), eigh_sqrt_diagonal(rho), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

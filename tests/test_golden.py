@@ -3,9 +3,9 @@
 The byte-exact values below were recorded once and must not drift: they pin
 the RNG stream, the series moment tables and the LAPACK-free CLI paths
 (pure-state mean, tail, sample of pure states and of unitaries up to
-N = 3, which are orthonormalized by Gram-Schmidt, and the mixed-state
-closed form, whose value comes from the prefix-sum bracket alone; the
-quadrature only gates it). Paths that go through LAPACK (eigh, QR) are pinned by
+N = 3, which are orthonormalized by Gram-Schmidt, mixed skew at N = 2, and
+the mixed-state closed form, whose value comes from the prefix-sum bracket
+alone; the quadrature only gates it). Paths that go through LAPACK (eigh, QR) are pinned by
 thread-count invariance instead, because their last bits may differ between
 BLAS builds.
 
@@ -22,24 +22,34 @@ state's bits depend only on its own draws, not on the sampler's slice length.
 Mixed output at N = 2 and 3 moved in its last digits; the cases marked v4 pin
 it. Nothing else moved.
 
+Bit contract v5: the phase e^(2 pi i u) of each complex normal is (h - 1) + i t h
+with t = tan(pi u) and h = 2/(1 + t^2) instead of numpy's complex exp, and mixed
+skew at N = 2 takes the diagonal of sqrt(rho) from the closed-form eigenvalues
+instead of LAPACK's eigh. Only phase consumers moved (mixed output, sample of
+every ensemble, the RngStream complex-normal digests), in their last digits; the
+cases marked v5 pin them. The mixed skew cases at N = 2 rest on IEEE arithmetic
+and numpy's SIMD loops alone, so they hold on any BLAS build.
+
 A chunk drawn in several blocks merges its blocks' (count, mean, M2) in
 stream order, as the oracles do; the one case of such a chunk was recorded
 that way. Chunks of one block, every other case, did not move.
 
 The bytes are fixed per (BLAS build, SIMD class), on x86-64 Linux with
-glibc. Where the CPU has AVX-512, numpy 2.4 sends float64 log1p to an
-AVX-512 loop whose results differ from glibc's log1p in the last bit of some
-inputs, so `RngStream.exponential` -log1p(-u), the radii of every complex
-normal and all that rests on them differ from a host without it (155 015 of
-2^21 exponential draws of stream (42, 0), each by one ulp; the uniforms,
-cexp and sqrt do not differ). The cases
-were recorded on an AVX-512 host; `BASELINE_CLASS` holds the value of each
-case that differs on the baseline class, recorded on the same host under
-NPY_DISABLE_CPU_FEATURES=X86_V4. The `simd_class` fixture picks the class by
-probing np.log1p against math.log1p, so every case runs on either class.
+glibc. Where the CPU has AVX-512, numpy 2.4 sends float64 log1p and tan to
+AVX-512 loops whose results differ from glibc's in the last bit of some
+inputs, so `RngStream.exponential` -log1p(-u), the radii and the phases of
+every complex normal and all that rests on them differ from a host without it
+(155 015 of 2^21 exponential draws of stream (42, 0), each by one ulp; the
+uniforms and sqrt do not differ). The cases were recorded on an AVX-512 host;
+`BASELINE_CLASS` holds the value of each case that differs on the baseline
+class, recorded on the same host under NPY_DISABLE_CPU_FEATURES=X86_V4. The
+`simd_class` fixture picks the class by probing np.log1p against math.log1p,
+and a test checks that np.tan falls in the same class, so every case runs on
+either class.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -58,10 +68,10 @@ def run_cli(capsys, *argv):
 
 # the baseline-class value of each case below that differs there, keyed by its AVX-512 value
 BASELINE_CLASS = {
-    "8175d95f37bb0692ed03122d6499db2f1441fc27d7f573610c823e9983cdbbc8":
-        "7086ae90ed1acf48c257f1d70b6dbe6c873619b4f9453bf751da717da827510e",
-    "54b9fa4b45697d8236f1c48d1bd2d60af0d68f6da3a847e4f4954daab2fd8d22":
-        "0b4da7eca9b831dea69cfb5873882f6c386b8d1677dc7ef0386a5b33d00c03e8",
+    "11a63f39ca49a0601498dd643247d0711b0dace2c262e54c8a4dd6af8f09a902":
+        "c5b5353a2e016192ad8835215704bb2d624c00ba6023c851da59cca86edb128b",
+    "577a8d198fc7a73dc1ca7a84f107d806c5129f4a9e55dde4337077def4b49fc0":
+        "cac1294283bb4c0b00e8126647a99f9a70a11e7c044b6cb0e530d24177973061",
     "b0dc38cd1c5198ed2dfa2987e492b562cc4057da501f704126f8d592d3b7359a":
         "06d7f596593cc15443f91741f9b4d8d418a1aa073ef922938813f222e943bfcf",
     "93dda082688297fb55e4c3117a6f6201a8f63cd243e8f4751bd5682e18a53c2f":
@@ -72,8 +82,6 @@ BASELINE_CLASS = {
         "pure,29,rel-ent,2.962089287891522,0.0006734778905225037,20000,1\n",
     "mixed,2,rel-ent,0.24949364458926387,0.0005416966895107071,100000,3\n":
         "mixed,2,rel-ent,0.24949364458926385,0.0005416966895107071,100000,3\n",
-    "mixed,3,skew,0.18401738674144147,0.0014556971137275388,3000,42\n":
-        "mixed,3,skew,0.1840173867414415,0.001455697113727539,3000,42\n",
 }
 
 
@@ -82,13 +90,21 @@ def golden(expected, simd_class):
     return BASELINE_CLASS.get(expected, expected) if simd_class == "baseline" else expected
 
 
-@pytest.mark.parametrize("seed,index,n,digest", [
-    (42, 3, 4096, "8175d95f37bb0692ed03122d6499db2f1441fc27d7f573610c823e9983cdbbc8"),
-    (2**64 - 1, 7, 1000, "54b9fa4b45697d8236f1c48d1bd2d60af0d68f6da3a847e4f4954daab2fd8d22"),
+@pytest.mark.parametrize("seed,index,n,digest", [  # v5
+    (42, 3, 4096, "11a63f39ca49a0601498dd643247d0711b0dace2c262e54c8a4dd6af8f09a902"),
+    (2**64 - 1, 7, 1000, "577a8d198fc7a73dc1ca7a84f107d806c5129f4a9e55dde4337077def4b49fc0"),
 ])
 def test_complex_normal_stream_digest(seed, index, n, digest, simd_class):
     raw = RngStream(seed, index).complex_normal(n).tobytes()
     assert hashlib.sha256(raw).hexdigest() == golden(digest, simd_class)
+
+
+def test_tan_takes_the_simd_class_of_log1p(simd_class):
+    # the phases rest on np.tan and the radii on np.log1p; the goldens of a class hold only
+    # where numpy sends both to that class's loops, so a numpy that splits them fails here
+    x = np.linspace(-0.9, 0.9, 1001)
+    differs = np.tan(x).tolist() != [math.tan(v) for v in x.tolist()]
+    assert differs == (simd_class == "avx512")
 
 
 @pytest.mark.parametrize("method,seed,index,n,digest", [
@@ -147,24 +163,25 @@ def test_stream_counts_the_outputs_philox_buffers(offset):
       "--samples", "5000", "--seed", "11"],
      "ensemble,N,epsilon,frequency,bound,samples,seed\n"
      "pure,8,0.1,0.054400000000000004,1.9933934595887661,5000,11\n"),
+    # v5, as are the two unitaries and the two mixed states below
     (["sample", "--ensemble", "pure", "--dim", "3", "--seed", "5"],
      '{"ensemble": "pure", "dim": 3, "seed": 5, '
-     '"re": [-0.06161940113218688, -0.7298383262897303, 0.46202662120629495], '
-     '"im": [0.1333205254389423, 0.48192404573548653, 0.006731999556999367]}\n'),
+     '"re": [-0.06161940113218688, -0.7298383262897303, 0.462026621206295], '
+     '"im": [0.13332052543894227, 0.48192404573548653, 0.006731999556999367]}\n'),
     (["sample", "--ensemble", "unitary", "--dim", "2", "--seed", "5"],
      '{"ensemble": "unitary", "dim": 2, "seed": 5, '
      '"re": [-0.25278177590662537, 0.9529964408420033, -0.9384732310070063, '
-     '-0.2787484621623656], '
-     '"im": [0.16691589321216524, -0.0061840201448393065, 0.16585672445200472, '
-     '-0.11856996449117496]}\n'),
+     '-0.27874846216236565], '
+     '"im": [0.16691589321216524, -0.006184020144839306, 0.16585672445200472, '
+     '-0.11856996449117498]}\n'),
     (["sample", "--ensemble", "unitary", "--dim", "3", "--seed", "5"],
      '{"ensemble": "unitary", "dim": 3, "seed": 5, '
-     '"re": [-0.12355415777667611, -0.8028471371109752, 0.36635016224050065, '
+     '"re": [-0.12355415777667611, -0.8028471371109752, 0.36635016224050054, '
      '-0.41079623288937245, 0.3319081865519889, 0.2696085105322626, '
-     '-0.06671336584634006, 0.19567003241175449, 0.033419849163512205], '
-     '"im": [0.26788824962296237, -0.36321118672964153, 0.04766469032268107, '
-     '0.41711838375174737, -0.10368542835792728, -0.680923084991843, '
-     '0.7521823526298156, 0.2536013295098093, 0.5710111671223744]}\n'),
+     '-0.0667133658463401, 0.19567003241175449, 0.03341984916351216], '
+     '"im": [0.26788824962296237, -0.3632111867296414, 0.04766469032268106, '
+     '0.41711838375174737, -0.10368542835792727, -0.6809230849918428, '
+     '0.7521823526298156, 0.25360132950980924, 0.5710111671223744]}\n'),
     # v2
     (["mc", "--ensemble", "pure", "--dim", "3", "--samples", "20000", "--seed", "1"],
      "ensemble,N,measure,mean,stderr,samples,seed\n"
@@ -174,20 +191,18 @@ def test_stream_counts_the_outputs_philox_buffers(offset):
       "--measure", "rel-ent"],
      "ensemble,N,measure,mean,stderr,samples,seed\n"
      "pure,29,rel-ent,2.9620892878915224,0.0006734778905225037,20000,1\n"),
-    # v3
     (["sample", "--ensemble", "mixed", "--dim", "2", "--seed", "5"],
      '{"ensemble": "mixed", "dim": 2, "seed": 5, '
-     '"re": [0.724903812326476, 0.2529300434994667, 0.2529300434994667, '
-     '0.27509618767352406], '
-     '"im": [0.0, -0.15513355408293378, 0.15513355408293378, 0.0]}\n'),
-    # v4 (v3 printed -0.049351564013153486 and 0.01603618422395865)
+     '"re": [0.724903812326476, 0.25293004349946663, 0.25293004349946663, '
+     '0.27509618767352395], '
+     '"im": [0.0, -0.15513355408293375, 0.15513355408293375, 0.0]}\n'),
     (["sample", "--ensemble", "mixed", "--dim", "3", "--seed", "5"],
      '{"ensemble": "mixed", "dim": 3, "seed": 5, '
-     '"re": [0.6147677587667739, -0.04935156401315347, -0.08996316600151104, '
-     '-0.04935156401315347, 0.12362973298676892, 0.0432127070042835, '
-     '-0.08996316600151104, 0.0432127070042835, 0.2616025082464572], '
+     '"re": [0.6147677587667739, -0.0493515640131535, -0.08996316600151105, '
+     '-0.0493515640131535, 0.12362973298676894, 0.0432127070042835, '
+     '-0.08996316600151105, 0.0432127070042835, 0.2616025082464572], '
      '"im": [0.0, -0.18300519850087957, -0.04920122733054282, 0.18300519850087957, '
-     '0.0, 0.016036184223958656, 0.04920122733054282, -0.016036184223958656, 0.0]}\n'),
+     '0.0, 0.016036184223958645, 0.04920122733054282, -0.016036184223958645, 0.0]}\n'),
     # the reduced pure-stream benchmark invocations at workload seed 1, and
     # chunks of 700 ending in a short one; recorded before the engine evaluated
     # chunks in groups
@@ -214,8 +229,9 @@ def test_lapack_free_cli_output_is_golden(capsys, argv, expected, simd_class):
 
 
 @pytest.mark.parametrize("argv,expected", [
+    # v5, as is the N = 3 skew case at --chunk 700
     (["mc", "--ensemble", "mixed", "--dim", "2", "--samples", "20000", "--seed", "7"],
-     "mixed,2,skew,0.13703661396707098,0.0007337115506114604,20000,7\n"),
+     "mixed,2,skew,0.137036613967071,0.0007337115506114604,20000,7\n"),
     (["mc", "--ensemble", "mixed", "--dim", "2", "--samples", "100000", "--seed", "3",
       "--measure", "rel-ent"],
      "mixed,2,rel-ent,0.24949364458926387,0.0005416966895107071,100000,3\n"),
@@ -225,14 +241,15 @@ def test_lapack_free_cli_output_is_golden(capsys, argv, expected, simd_class):
     # chunks of 700 states, and chunks of 20000 spanning several sampler slices
     (["mc", "--ensemble", "mixed", "--dim", "3", "--measure", "skew", "--chunk", "700",
       "--samples", "3000"],
-     "mixed,3,skew,0.18401738674144147,0.0014556971137275388,3000,42\n"),
+     "mixed,3,skew,0.18401738674144147,0.001455697113727539,3000,42\n"),
     (["mc", "--ensemble", "mixed", "--dim", "3", "--chunk", "20000", "--samples", "40000"],
      "mixed,3,skew,0.18401589315094544,0.00039773817964052004,40000,42\n"),
 ])
 def test_v4_mixed_mc_output_is_golden(capsys, argv, expected, simd_class):
     # v4: each of these moved in its last digits from v3, whose Gram step at N <= 3
-    # used numpy's complex multiply; skew goes through LAPACK eigh, whose bits these
-    # cases pin for the numpy and OpenBLAS build they were recorded with
+    # used numpy's complex multiply. Skew at N = 3 and rel-ent go through LAPACK's eigh and
+    # eigvalsh, whose bits these cases pin for the numpy and OpenBLAS build they were
+    # recorded with; skew at N = 2 calls no LAPACK routine under v5, and holds on any build
     assert run_cli(capsys, *argv) == ("ensemble,N,measure,mean,stderr,samples,seed\n"
                                       + golden(expected, simd_class))
 

@@ -101,17 +101,42 @@ def test_complex_normals_hold_16_bytes_per_draw_plus_one_slice():
 @pytest.mark.parametrize("offset", range(4))
 @pytest.mark.parametrize("n", [0, 1, 7, 2 * sampling._UNIFORM_SLICE + 3])
 def test_complex_normals_are_the_radii_then_the_phases(offset, n):
-    # polar Box-Muller from any place in Philox's 4-output buffer: the n radii,
-    # then the n phases, and the stream left past both
+    # polar Box-Muller from any place in Philox's 4-output buffer: the n radii r, then the
+    # n phase uniforms u, and the stream left past both. The phase e^(2 pi i u) is
+    # (h - 1) + i t h with t = tan(pi u) and h = 2/(1 + t^2), bit for bit, within 2e-15
+    # of r exp(2 pi i u)
     stream, twin = RngStream(41, 2), RngStream(41, 2)
     stream.uniform(offset)
     twin.uniform(offset)
     z = stream.complex_normal(n)
     radius = np.sqrt(twin.exponential(n))
-    phase = np.zeros(n, dtype=complex)
-    phase.imag = twin.uniform(n) * (2 * np.pi)
-    assert np.array_equal(z, radius * np.exp(phase))
+    u = twin.uniform(n)
+    t = np.tan(u * np.pi)
+    h = 2.0 / (t * t + 1.0)
+    phase = np.empty(n, dtype=complex)
+    phase.real, phase.imag = h - 1.0, t * h
+    assert np.array_equal(z, radius * phase)
+    reference = np.zeros(n, dtype=complex)
+    reference.imag = u * (2 * np.pi)
+    assert np.abs(z - radius * np.exp(reference)).max(initial=0.0) <= 2e-15
     assert np.array_equal(stream.uniform(5), twin.uniform(5))
+
+
+def test_phase_is_finite_and_on_the_circle_where_its_tangent_is_largest():
+    # u = 1/2 puts pi u next to pi/2, where t = tan(pi u) is about 1.6e16: t^2 stays finite,
+    # and the phase is -1 + 1.2e-16 i; the uniforms next to it and the ends of [0, 1) too
+    class Fixed:  # the stream's phase uniforms; its radii come from its own Philox
+        def random(self, out):
+            out[:] = u[:out.size]
+            return out
+
+    u = np.array([0.0, 0.25, 0.5 - 2**-53, 0.5, 0.5 + 2**-53, 0.75, 1 - 2**-53])
+    stream = RngStream(3, 0)
+    stream._uniforms = Fixed()
+    z = stream.complex_normal(u.size) / np.sqrt(RngStream(3, 0).exponential(u.size))
+    assert np.isfinite(z).all()
+    assert z[0] == 1.0 and z[3].real == -1.0
+    assert np.abs(z - np.exp(2j * np.pi * u)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("size", ["one slice", "exact", "three slices", "oversize"])
