@@ -11,6 +11,7 @@ gives the table itself by its series. Each is cross-checked against the quadratu
 :mod:`haar_coherence.oracles`; `avg_coherence_mixed` returns no value where the brackets disagree.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,11 +32,8 @@ BRACKET_GATE = 1e-12  # maximum tolerated relative gap between the two bracket r
 
 # Largest moment table (degrees 0..n-1) of either route, and so the largest N of the mixed
 # closed forms: their bracket's gate needs the quadrature table (gap <= 7.0e-15 relative). The
-# series (gap 4.9e-11, 20x inside MOMENT_GATE) costs O(n^3), ~2.5 s at this n on an x86-64 core.
+# series (gap 4.9e-11, 20x inside MOMENT_GATE) costs O(n^3), ~7.7 s at this n on an x86-64 core.
 MAX_TABLE_SIZE = 1024
-
-# Padded terms per exact sum of short series rows together, and per scratch slice.
-_SUM_BLOCK = 1 << 14
 
 
 class PrecisionError(RuntimeError):
@@ -47,48 +45,6 @@ class MomentTable:
     """Symmetric table of weighted Laguerre moments."""
 
     values: np.ndarray  # (n, n), values[k, l] = I_kl(q)
-
-
-def _exact_column_sums(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each column of the 2-D array terms, bit for bit; overwrites terms.
-
-    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008, Lemma 3.3):
-    for sigma = 2^k, columns shorter than 2^m and |p| < 2^-m sigma, q = (sigma + p) - sigma
-    and p - q split p exactly, all partial sums of q are exact, and |p - q| <= 2^-53 sigma
-    bounds the next pass at sigma 2^(m-53). Two exact pass totals add, IEEE-rounded, to
-    fsum's correctly rounded sum (ties to even); fsum adds three or more. Columns outside
-    the lemma (a term non-finite, none nonzero, sigma overflowing or 2^-106 sigma subnormal)
-    take fsum of themselves, so values, errors and signed zeros are fsum's. Later passes
-    stay error-free into the subnormal range, where sigma ends at 0 and q = p.
-    """
-    m = len(terms).bit_length()
-    top = np.maximum(terms.max(axis=0), -terms.min(axis=0))
-    # top = f 2^e with 1/2 <= f < 1 gives sigma = 2^(m+e), capped at 2^1023 where outside
-    sigma = np.ldexp(2.0**m, np.frexp(np.minimum(top, 2.0 ** (1022 - m)))[1])
-    # inside: 2^(-917-m) <= top < 2^(1023-m); NaN is outside, as clip keeps it
-    outside = np.clip(top, 2.0 ** (-917 - m), 2.0 ** (1023 - m) * (1 - 2.0**-53)) != top
-    fsums = {i: math.fsum(terms[:, i].tolist()) for i in np.flatnonzero(outside)}
-    terms[:, outside], sigma[outside] = 0.0, 0.0
-    step = max(1, _SUM_BLOCK // terms.shape[1])  # rows per slice of q
-    q, totals = np.empty((min(step, len(terms)), terms.shape[1])), []
-    while True:
-        total = 0.0
-        for start in range(0, len(terms), step):
-            p, qs = terms[start:start + step], q[:len(terms) - start]
-            np.add(p, sigma, out=qs)
-            qs -= sigma
-            p -= qs
-            total = total + qs.sum(axis=0)
-        totals.append(total)
-        if not terms.any():
-            break
-        sigma *= 2.0 ** (m - 53)
-    # a column is t1 + t2 unless a later pass found more
-    sums = np.sum(totals, axis=0)
-    for i in np.flatnonzero(np.any(totals[2:], axis=0)):
-        sums[i] = math.fsum(t[i] for t in totals)
-    sums[list(fsums)] = list(fsums.values())
-    return sums
 
 
 def _require_table_size(n: int) -> None:
@@ -103,11 +59,10 @@ def _require_table_size(n: int) -> None:
 def moment_table(n: int, q: float) -> MomentTable:
     """Symmetric n x n moment table for degrees 0..n-1, from the series.
 
-    Entry (k, l) is (-1)^(k+l) times the sum of (b[k-r] b[l-r]) g[r] over r = 0..k, with
-    b[m] = binom(q, m) and g[r] = Gamma(q+r+1)/r!, summed exactly and rounded once, which
-    keeps the alternating series accurate at large degrees. Rows k..stop-1 are summed in one
-    call, from the top degree down, as columns of length stop padded with -0.0, the additive
-    identity: it changes neither an exact sum nor fsum's result, signed zeros included.
+    Entry (k, l) is (-1)^(k+l) times math.fsum of (b[k-r] b[l-r]) g[r] over r = 0..k, with
+    b[m] = binom(q, m) and g[r] = Gamma(q+r+1)/r!: summed exactly and rounded once, which
+    keeps the alternating series accurate at large degrees. Rows run from the top degree
+    down, where an overflow shows, so an exponent too large is refused in the first row.
 
     Refuses n above MAX_TABLE_SIZE before allocating anything: the series
     costs O(n^3) and the table O(n^2) memory.
@@ -115,7 +70,7 @@ def moment_table(n: int, q: float) -> MomentTable:
     _require_table_size(n)
     if q <= -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {q}")
-    try:  # Gamma(q + r + 1)/r!, a term or an entry's exact sum overflowing a double
+    try:  # Gamma(q + r + 1)/r!, a term or an entry's fsum overflowing a double
         # g[r] = Gamma(q + r + 1)/r! in log space, as it overflows a double near degree 170
         # otherwise; libm's exp and lgamma pin the bits. b[m] = binom(q, m) by its recurrence.
         g = np.array([math.exp(math.lgamma(q + r + 1.0) - math.lgamma(r + 1.0)) for r in range(n)])
@@ -125,23 +80,13 @@ def moment_table(n: int, q: float) -> MomentTable:
         # window[x, r] = b[x - r] for r <= x: a strided view of b behind n - 1 zeros
         window = np.ndarray((n, n), buffer=np.concatenate([np.zeros(n - 1), b]),
                             offset=8 * (n - 1), strides=(8, -8))
-        values, stop = np.empty((n, n)), n
-        while stop > 0:  # highest degrees first, where an overflow shows
-            k, entries = stop - 1, n - stop + 1
-            while k > 0 and stop * (entries + n - k + 1) <= _SUM_BLOCK:
-                k, entries = k - 1, entries + n - k + 1
-            terms, at = np.full((stop, entries), -0.0), 0  # a column per entry (j, l), l = j..n-1
-            for j in range(k, stop):
-                pairs = window[j:, :j + 1].T  # pairs[r, l - j] = b[l - r]; column 0: b[j - r]
-                np.multiply(pairs[:, :1], pairs, out=terms[:j + 1, at:at + n - j])
-                at += n - j
-            terms *= g[:stop, None]
-            sums = _exact_column_sums(terms)
-            for j in range(k, stop):
-                row, sums = sums[:n - j], sums[n - j:]
-                np.negative(row[1::2], out=row[1::2])
-                values[j, j:] = values[j:, j] = row
-            stop = k
+        values = np.empty((n, n))
+        for k in range(n - 1, -1, -1):  # highest degrees first, where an overflow shows
+            pairs = window[k:, :k + 1]  # pairs[l - k, r] = b[l - r]; row 0: b[k - r]
+            products = pairs[:1] * pairs * g[:k + 1]
+            row = np.array([math.fsum(terms.tolist()) for terms in products])
+            np.negative(row[1::2], out=row[1::2])
+            values[k, k:] = values[k:, k] = row
     except (OverflowError, FloatingPointError):
         raise ValueError(f"weight exponent q = {q} is too large for degree {n - 1}: "
                          "the series overflows a double") from None
@@ -150,11 +95,12 @@ def moment_table(n: int, q: float) -> MomentTable:
 
 
 def moment_bracket(values: np.ndarray) -> float:
-    """(sum_k I_kk)^2 - sum_{k,l} I_kl^2, each sum exact and rounded once (as math.fsum)."""
-    diag = float(_exact_column_sums(np.diagonal(values)[:, None].copy())[0])
+    """(sum_k I_kk)^2 - sum_{k,l} I_kl^2, each sum exact and rounded once by math.fsum."""
+    diag = math.fsum(np.diagonal(values).tolist())
     # float_power squares through libm's pow, as Python's ** on a float does;
     # `values**2` multiplies instead and rounds ~0.1% of entries differently.
-    squares = float(_exact_column_sums(np.float_power(values, 2.0).reshape(-1, 1))[0])
+    squares = math.fsum(itertools.chain.from_iterable(
+        np.float_power(row, 2.0).tolist() for row in values))
     return diag * diag - squares
 
 

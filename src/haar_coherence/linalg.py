@@ -36,6 +36,7 @@ def _require_hermitian(m, what="matrix"):
     return m
 
 
+@np.errstate(invalid="ignore")  # inf - inf gives a NaN eigenvalue, which _require_psd refuses
 def _eigvalsh_2(m):
     a, d = m[..., 0, 0].real, m[..., 1, 1].real
     mean = (a + d) / 2

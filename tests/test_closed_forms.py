@@ -1,6 +1,5 @@
 import inspect
 import math
-import re
 import warnings
 from fractions import Fraction
 
@@ -60,18 +59,6 @@ def test_moment_tables_have_the_bytes_of_the_elementwise_route(q):
         assert cf.moment_table(n, q).values.tobytes() == reference[:n, :n].tobytes()
 
 
-def fsum_bits(column):
-    return np.float64(math.fsum(column)).tobytes()
-
-
-def exact_sums_bits(columns):
-    height = max(len(c) for c in columns)
-    terms = np.full((height, len(columns)), -0.0)  # -0.0 pads, as moment_table does
-    for i, column in enumerate(columns):
-        terms[:len(column), i] = column
-    return [np.float64(s).tobytes() for s in cf._exact_column_sums(terms)]
-
-
 EXACT_SUM_CASES = [
     [1.0, 2.0**-80, -1.0, 2.0**-200],  # three passes and more
     [2.0**-200, 1.0, 2.0**-80, -1.0, 3.0 * 2.0**-300],
@@ -92,46 +79,26 @@ EXACT_SUM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("column", EXACT_SUM_CASES)
-def test_exact_column_sums_are_fsum_bit_for_bit(column):
-    if any(math.isnan(x) for x in column):
-        assert math.isnan(cf._exact_column_sums(np.array(column)[:, None])[0])
-    else:
-        assert exact_sums_bits([column]) == [fsum_bits(column)]
+def bits(x):
+    return np.float64(x).tobytes()
 
 
-def test_exact_column_sums_of_many_columns_at_once():
-    # every case of the list side by side, padded to one height, plus random
-    # columns whose heights sit at and around powers of two
-    rng = np.random.default_rng(7)
-    columns = [c for c in EXACT_SUM_CASES if not any(math.isnan(x) for x in c)]
-    for m in (3, 4, 7, 10):
-        for height in (2**m - 1, 2**m, 2**m + 1):
-            columns.append((rng.standard_normal(height)
-                            * 2.0 ** rng.integers(-60, 60, height)).tolist())
-    assert exact_sums_bits(columns) == [fsum_bits(c) for c in columns]
-
-
-@pytest.mark.parametrize("column", [[math.inf, -math.inf], [1.7e308, 1.7e308],
-                                    [1.7e308, 1.7e308, -1.7e308]])
-def test_exact_column_sums_raise_as_fsum_does(column):
-    with pytest.raises((OverflowError, ValueError)) as fsum_error:
-        math.fsum(column)
-    with pytest.raises(fsum_error.type, match=re.escape(str(fsum_error.value))):
-        cf._exact_column_sums(np.array(column)[:, None])
-
-
-def test_exact_column_sums_agree_with_fsum_on_random_columns():
-    rng = np.random.default_rng(11)
-    columns = []
-    for trial in range(300):
-        height = int(rng.integers(1, 80))
-        scale = 2.0 ** rng.integers(-400, 400, height) if trial % 2 else 1.0
-        column = rng.standard_normal(height) * scale
-        if trial % 3 == 0:  # cancelling halves
-            column = np.concatenate([column, -column[: height // 2]])
-        columns.append(column.tolist())
-    assert exact_sums_bits(columns) == [fsum_bits(c) for c in columns]
+def test_moment_bracket_sums_exactly_as_fsum_does():
+    # each case finite when squared on the diagonal of a symmetric table, its off-diagonal
+    # entries the case rolled by one place
+    cases = [c for c in EXACT_SUM_CASES if all(math.isfinite(x * x) for x in c)]
+    assert len(cases) == 17
+    naive_differs = False
+    for case in cases:
+        values, m = np.diag(case), len(case)
+        i, j = np.triu_indices(m, 1)
+        values[i, j] = values[j, i] = np.roll(case, 1)[(i + j) % m]
+        expected = (math.fsum(case) ** 2
+                    - math.fsum(x**2 for x in values.ravel().tolist()))
+        assert bits(cf.moment_bracket(values)) == bits(expected), case
+        naive = float(np.sum(np.diagonal(values))) ** 2 - float(np.sum(values**2))
+        naive_differs |= bits(naive) != bits(expected)
+    assert naive_differs
 
 
 def test_moment_table_refuses_a_weight_exponent_it_cannot_represent():
@@ -381,16 +348,18 @@ def test_mixed_closed_forms_call_no_series_table(monkeypatch):
 
 @pytest.mark.parametrize("n", [1024, 700, 400])
 def test_moment_table_refuses_an_overflowing_exponent_in_its_first_block(monkeypatch, n):
-    # the top degrees are summed first, so their overflow refuses at once: the products overflow
-    # before the first block's exact sum; the parent summed up from degree 0 and met it last
+    # the top degree is summed first, where an overflow shows: its products overflow and
+    # refuse before any entry's fsum, not after almost the whole series
     calls = []
-    exact_column_sums = cf._exact_column_sums
+    fsum = math.fsum
 
     def counted(terms):
-        calls.append(terms.shape)
-        return exact_column_sums(terms)
+        calls.append(terms)
+        return fsum(terms)
 
-    monkeypatch.setattr(cf, "_exact_column_sums", counted)
+    monkeypatch.setattr(math, "fsum", counted)
     with pytest.raises(ValueError, match="weight exponent q = 100.0"):
         cf.moment_table(n, 100.0)
-    assert len(calls) <= 1
+    assert calls == []
+    cf.moment_table(3, 100.0)  # the count sees the series: one fsum per entry k <= l
+    assert len(calls) == 6

@@ -254,7 +254,6 @@ def test_qubit_sqrt_diagonal_matches_eigh_on_a_stress_grid():
     assert (gap <= 3e-14 * np.sqrt(np.trace(rho, axis1=1, axis2=2).real)[:, None]).all()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the spectrum
 def test_qubit_sqrt_diagonal_fails_closed_as_eigh_does():
     stack = hs_mixed_batch(RngStream(515, 2), 2, 4)
     for bad, match in ((np.nan, "Hermitian"), (1e-15j, "Hermitian")):
@@ -266,8 +265,11 @@ def test_qubit_sqrt_diagonal_fails_closed_as_eigh_does():
     states[3] = [[1.5, 0.3], [0.3, -0.5]]
     with pytest.raises(ValueError, match="not PSD"):
         skew_coherence(states)
-    with pytest.raises(ValueError, match="not PSD"):
-        skew_coherence(np.diag([np.inf, 1.0]))
+    with warnings.catch_warnings():  # inf - inf in the spectrum fails closed, with no warning
+        warnings.simplefilter("error")
+        for rho in (np.diag([np.inf, 1.0]), np.diag([np.inf, np.inf])):
+            with pytest.raises(ValueError, match="not PSD.*nan"):
+                skew_coherence(rho)
     # within EIG_CLAMP of PSD, and 0: the roots of the clamped spectrum, as eigh's
     for rho in (np.diag([1.0 + 1e-11, -1e-11]), np.zeros((2, 2)), np.diag([-1e-11, -1e-11])):
         np.testing.assert_allclose(sqrt_diagonal(rho), eigh_sqrt_diagonal(rho), atol=1e-15)
